@@ -111,6 +111,21 @@ def _result(data, parents, backward, op):
     return DiffTensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
 
 
+def _array_of(x):
+    """The ndarray behind a Volume3D, DisplacementField, DiffTensor or array-like."""
+    return x if isinstance(x, np.ndarray) else np.asarray(getattr(x, "data", x))
+
+
+def _lift(x, dtype=None):
+    """x as a graph leaf: a DiffTensor passes through as is, anything else is
+    reshaped to rank 5 by leading unit axes, (D, H, W) -> (1, 1, D, H, W)
+    and (C, D, H, W) -> (1, C, D, H, W)."""
+    if isinstance(x, DiffTensor):
+        return x
+    a = _array_of(x)
+    return DiffTensor(a.reshape((1,) * (5 - a.ndim) + a.shape), dtype=dtype)
+
+
 def _check_same_shape(x, y, op):
     if x.shape != y.shape:
         raise ValueError(f"{op}: shape mismatch {x.shape} vs {y.shape}")
@@ -316,31 +331,6 @@ def reduce_mean(x):
     return _result(np.asarray(val, dtype=x.dtype).reshape(1, 1, 1, 1, 1), (x,), bwd, "mean")
 
 
-def reduce(x, op):
-    if op == "sum":
-        return reduce_sum(x)
-    if op == "mean":
-        return reduce_mean(x)
-    raise ValueError(f"reduce: unknown op {op!r}")
-
-
-def pointwise(x, op, other=None, s=None):
-    """Dispatch table mirroring the elementwise op set."""
-    if op == "leaky_relu":
-        return leaky_relu(x, 0.2 if s is None else s)
-    if op == "add":
-        return add(x, other)
-    if op == "mul":
-        return mul(x, other)
-    if op == "scale":
-        return scale(x, s)
-    if op == "neg":
-        return neg(x)
-    if op == "square":
-        return square(x)
-    raise ValueError(f"pointwise: unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -461,18 +451,6 @@ def _apply_axis_matrix(a, m, axis):
 
 def resize_target_dims(spatial, factor):
     return tuple(int(math.ceil(s * factor - 1e-9)) for s in spatial)
-
-
-def resize_array(a, target):
-    """Trilinear resize of the last three axes of a plain float array."""
-    a = np.asarray(a)
-    out = a
-    for k, (s_in, s_out) in enumerate(zip(a.shape[-3:], target)):
-        if s_in == s_out:
-            continue
-        axis = a.ndim - 3 + k
-        out = _apply_axis_matrix(out, _interp_matrix(s_in, s_out, a.dtype), axis)
-    return out.copy() if out is a else out
 
 
 def trilinear_resize(x, factor=None, target=None):
@@ -698,11 +676,22 @@ def save_params(path, params, meta=None):
 
 
 def load_params(path):
-    """Inverse of save_params; returns (dict name -> float32 array, manifest)."""
+    """Inverse of save_params; returns (dict name -> float32 array, manifest).
+
+    Raises ValueError when the manifest's config_hash does not match its
+    meta, or the blob is not exactly as long as the entries it lists.
+    """
     path = str(path)
     with open(path + ".json") as f:
         manifest = json.load(f)
-    blob = open(path, "rb").read()
+    if manifest.get("config_hash") != config_hash(manifest.get("meta", {})):
+        raise ValueError(f"checkpoint {path}: config_hash does not match the manifest meta")
+    with open(path, "rb") as f:
+        blob = f.read()
+    expect = sum(int(np.prod(e["shape"])) * 4 for e in manifest["params"])
+    if len(blob) != expect:
+        raise ValueError(f"checkpoint {path}: payload holds {len(blob)} bytes, "
+                         f"its entries need {expect}")
     out = {}
     for e in manifest["params"]:
         shape = tuple(e["shape"])

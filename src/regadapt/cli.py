@@ -90,10 +90,19 @@ def _effective_config(args):
     if cfg_path:
         with open(cfg_path) as f:
             file_cfg = json.load(f)
+        if not isinstance(file_cfg, dict):
+            raise VolumeIOError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(_IO_DEFAULTS)
         if unknown:
             raise VolumeIOError(f"config file has unknown keys: {sorted(unknown)}")
-        eff.update(file_cfg)
+        for key, val in file_cfg.items():
+            want = type(_IO_DEFAULTS[key])
+            if type(val) is int and want is float:
+                val = float(val)
+            if type(val) is not want:
+                raise VolumeIOError(f"config file: {key!r} must be {want.__name__}, "
+                                    f"got {type(val).__name__} {val!r}")
+            eff[key] = val
     for key in _IO_DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:

@@ -15,6 +15,7 @@ The gradient wrt the field keeps a one-sided slope on the last plane.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +23,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffTensor
 
-_GRIDS = {}
 
-
+@functools.lru_cache(maxsize=8)
 def _grid(dims, dtype):
-    key = (dims, np.dtype(dtype).str)
-    g = _GRIDS.get(key)
-    if g is None:
-        g = np.indices(dims).astype(dtype)
-        _GRIDS[key] = g
+    """Read-only voxel coordinates (3, D, H, W); cached, as np.indices costs
+    about a tenth of a warp."""
+    g = np.indices(dims).astype(dtype)
+    g.flags.writeable = False
     return g
 
 
@@ -58,14 +57,20 @@ class DisplacementField:
 
 
 # ---------------------------------------------------------------------------
-# trilinear sampling core (shared by the plain and differentiable paths)
+# trilinear sampling core of warp_tensor
 
 
 def _sample_prep(dims, disp):
-    """Clamped sample positions -> lower corner floor(p), fraction in [0, 1), masks."""
+    """Clamped sample positions -> lower corner floor(p), fraction in [0, 1), masks.
+
+    Raises FloatingPointError on a non-finite displacement, before the
+    float -> int cast that would turn it into an arbitrary index.
+    """
     dt = disp.dtype
     itype = np.int32 if np.prod(dims) < 2**31 else np.int64  # flat indices fit
     pos = _grid(dims, dt) + disp
+    if not np.isfinite(pos).all():
+        raise FloatingPointError("non-finite displacement")
     i0, t, inb = [], [], []
     for a, s in enumerate(dims):
         p = pos[a]
@@ -132,20 +137,12 @@ def _trilinear_gather(vol_flat, f0, offs, t):
     return lerp(along_hw(f0), along_hw(f0 + od), td)
 
 
-def _warp_array(vol, disp):
-    """vol: (C, D, H, W); disp: (3, D, H, W) on the same grid."""
-    dims = vol.shape[1:]
-    i0, t, _ = _sample_prep(dims, disp)
-    f0, offs = _corner_flats(i0, dims)
-    return _trilinear_gather(vol.reshape(vol.shape[0], -1), f0, offs, t)
-
-
 def warp_tensor(v, u):
-    """Differentiable warp: v (N, C, D, H, W) sampled at x + u, u (N, 3, D, H, W)."""
-    if not isinstance(v, DiffTensor):
-        v = DiffTensor(v)
-    if not isinstance(u, DiffTensor):
-        u = DiffTensor(u)
+    """Differentiable warp: v (N, C, D, H, W) sampled at x + u, u (N, 3, D, H, W).
+
+    Arrays, Volume3D and DisplacementField inputs are lifted to graph leaves.
+    """
+    v, u = ad._lift(v), ad._lift(u)
     if v.shape[0] != 1 or u.shape[0] != 1 or u.shape[1] != 3:
         raise ValueError("warp_tensor expects batch 1 and a 3-channel field")
     dims = v.shape[2:]
@@ -199,38 +196,26 @@ def warp_tensor(v, u):
     return ad._result(out, (v, u), bwd, "warp")
 
 
+def _like(t, x):
+    """Result tensor t in the kind of input x: the node itself for a
+    DiffTensor, else a Volume3D, DisplacementField or array of x's rank."""
+    if isinstance(x, DiffTensor):
+        return t
+    if isinstance(x, DisplacementField):
+        return DisplacementField(t.data[0])
+    a = t.data.reshape(t.shape[5 - ad._array_of(x).ndim:])
+    return dataclasses.replace(x, data=a) if hasattr(x, "spacing") else a
+
+
 def warp(v, u):
     """Backward-warp a volume (or field treated as channels) by field u.
 
     Accepts Volume3D / DisplacementField / ndarray / DiffTensor inputs and
-    returns the same kind as v. Zero field returns v values bit-exactly.
+    returns the same kind as v, or a graph node when u is one. Zero field
+    returns v values bit-exactly.
     """
-    if isinstance(v, DiffTensor) or isinstance(u, DiffTensor):
-        vt = v if isinstance(v, DiffTensor) else DiffTensor(_tensorize_vol(v))
-        ut = u if isinstance(u, DiffTensor) else DiffTensor(_tensorize_field(u))
-        return warp_tensor(vt, ut)
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
-    if hasattr(v, "spacing"):  # Volume3D-like
-        if v.data.shape != ua.shape[1:]:
-            raise ValueError(f"warp: dims mismatch {v.data.shape} vs {ua.shape[1:]}")
-        out = _warp_array(v.data[None], ua)[0]
-        return dataclasses.replace(v, data=out)
-    va = np.asarray(v)
-    vol = va[None] if va.ndim == 3 else va
-    if vol.shape[1:] != ua.shape[1:]:
-        raise ValueError(f"warp: dims mismatch {vol.shape[1:]} vs {ua.shape[1:]}")
-    out = _warp_array(vol, ua)
-    return out[0] if va.ndim == 3 else out
-
-
-def _tensorize_vol(v):
-    a = v.data if hasattr(v, "spacing") else np.asarray(v)
-    return a[None, None] if a.ndim == 3 else a
-
-
-def _tensorize_field(u):
-    a = u.data if isinstance(u, DisplacementField) else np.asarray(u)
-    return a[None] if a.ndim == 4 else a
+    out = warp_tensor(v, u)
+    return out if isinstance(u, DiffTensor) else _like(out, v)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +228,13 @@ def compose(prev, resid):
     warp(v, compose(prev, resid)) approximates warp(warp(v, prev), resid)
     and both sides agree exactly for constant fields.
     """
-    if isinstance(prev, DiffTensor) or isinstance(resid, DiffTensor):
-        pt = prev if isinstance(prev, DiffTensor) else DiffTensor(_tensorize_field(prev))
-        rt = resid if isinstance(resid, DiffTensor) else DiffTensor(_tensorize_field(resid))
-        if pt.shape != rt.shape:
-            raise ValueError(f"compose: dims mismatch {pt.shape} vs {rt.shape}")
-        return ad.add(rt, warp_tensor(pt, rt))
-    pa = prev.data if isinstance(prev, DisplacementField) else np.asarray(prev)
-    ra = resid.data if isinstance(resid, DisplacementField) else np.asarray(resid)
-    if pa.shape != ra.shape:
-        raise ValueError(f"compose: dims mismatch {pa.shape} vs {ra.shape}")
-    out = ra + _warp_array(pa, ra)
-    if isinstance(prev, DisplacementField) or isinstance(resid, DisplacementField):
-        return DisplacementField(out)
-    return out
+    pt, rt = ad._lift(prev), ad._lift(resid)
+    if pt.shape != rt.shape:
+        raise ValueError(f"compose: dims mismatch {pt.shape} vs {rt.shape}")
+    out = ad.add(rt, warp_tensor(pt, rt))
+    # a graph node if either input is one, else a DisplacementField if either is
+    return _like(out, max((prev, resid), key=lambda x: (isinstance(x, DiffTensor),
+                                                         isinstance(x, DisplacementField))))
 
 
 def upsample_field(u, factor=None, target=None):
@@ -265,36 +243,23 @@ def upsample_field(u, factor=None, target=None):
     Coarse-grid voxel units become fine-grid voxel units: component c is
     multiplied by target_c / source_c.
     """
-    if isinstance(u, DiffTensor):
-        dims = u.shape[2:]
-        if target is None:
-            target = ad.resize_target_dims(dims, float(factor))
-        target = tuple(int(x) for x in target)
-        resized = ad.trilinear_resize(u, target=target)
-        ratios = tuple(t / s for t, s in zip(target, dims))
-        return ad.scale_channels(resized, ratios)
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
-    dims = ua.shape[1:]
+    ut = ad._lift(u)
+    dims = ut.shape[2:]
     if target is None:
         target = ad.resize_target_dims(dims, float(factor))
     target = tuple(int(x) for x in target)
-    out = ad.resize_array(ua, target)
-    for c in range(3):
-        out[c] *= np.float32(target[c] / dims[c])
-    if isinstance(u, DisplacementField):
-        return DisplacementField(out)
-    return out
+    resized = ad.trilinear_resize(ut, target=target)
+    ratios = tuple(t / s for t, s in zip(target, dims))
+    return _like(ad.scale_channels(resized, ratios), u)
 
 
 def scale_field(u, s):
-    """Multiply every component by the scalar s.
+    """Multiply every component of a DisplacementField or array by the scalar s.
 
-    The array path forms the product in float64 and rounds it to the
-    field's float32 (or wider) dtype once, so on float32 fields scaling by
-    s1 * s2 and by s1 then s2 differ by at most 1 ulp.
+    The product is formed in float64 and rounded to the field's float32
+    (or wider) dtype once, so on float32 fields scaling by s1 * s2 and by
+    s1 then s2 differ by at most 1 ulp.
     """
-    if isinstance(u, DiffTensor):
-        return ad.scale(u, s)
     ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
     out = (ua.astype(np.float64) * float(s)).astype(np.result_type(ua.dtype, np.float32))
     return DisplacementField(out) if isinstance(u, DisplacementField) else out
@@ -367,6 +332,6 @@ def warp_labels_array(labels, u):
     dims = labels.shape
     if tuple(ua.shape[1:]) != tuple(dims):
         raise ValueError(f"warp_labels: dims mismatch {dims} vs {ua.shape[1:]}")
-    pos = _grid(dims, np.float32) + ua
+    pos = _grid(dims, ua.dtype) + ua
     idx = [np.clip(np.rint(pos[a]).astype(np.int64), 0, dims[a] - 1) for a in range(3)]
     return labels[idx[0], idx[1], idx[2]]

@@ -7,6 +7,11 @@ cov / sqrt((var_a + eps)(var_b + eps)) with eps = 1e-5, and the scalar is
 the mean over voxels. The minimization convention is L_sim = -LNCC; raw
 LNCC values are always exposed alongside.
 
+Every loss has one implementation, as autodiff graph ops. Called with
+Volume3D, DisplacementField or ndarray inputs, lncc, diffusion_reg and
+total_loss lift them to graph leaves that need no gradient, so no backward
+closures are kept, and return floats (and arrays) instead of nodes.
+
 Border convention: the local moments are zero-padded Gaussian sums, as in
 autodiff.filter_separable. Per-voxel values are therefore exact, and
 invariant to affine intensity changes a*v + b, only on voxels at least
@@ -28,26 +33,8 @@ from .autodiff import DiffTensor
 LNCC_EPS = 1e-5
 
 
-def _vol_array(x):
-    if isinstance(x, np.ndarray):
-        return x
-    if hasattr(x, "spacing") or isinstance(x, DiffTensor):
-        return x.data
-    return np.asarray(x)
-
-
 # ---------------------------------------------------------------------------
 # LNCC
-
-
-def _lncc_map_arrays(a, b, window):
-    k = ad.gaussian_kernel1d(window)
-    mu_a = ad.filter_separable(a, k)
-    mu_b = ad.filter_separable(b, k)
-    var_a = ad.filter_separable(a * a, k) - mu_a * mu_a
-    var_b = ad.filter_separable(b * b, k) - mu_b * mu_b
-    cov = ad.filter_separable(a * b, k) - mu_a * mu_b
-    return cov / np.sqrt((var_a + LNCC_EPS) * (var_b + LNCC_EPS))
 
 
 def _lncc_graph(a, b, window):
@@ -63,36 +50,24 @@ def _lncc_graph(a, b, window):
 def lncc(a, b, window=9, return_map=False):
     """Mean local normalized cross-correlation, signed, in [-1, 1].
 
-    Accepts Volume3D/ndarray pairs (returns floats) or DiffTensor pairs
-    (returns graph nodes, differentiable wrt both inputs).
+    Accepts Volume3D/ndarray pairs, computed in float32 (returns a float and
+    a map of the input's shape) or DiffTensor pairs (returns graph nodes,
+    differentiable wrt both inputs).
     """
     if window % 2 != 1:
         raise ValueError(f"lncc window must be odd, got {window}")
-    if isinstance(a, DiffTensor) or isinstance(b, DiffTensor):
-        if a.shape != b.shape:
-            raise ValueError(f"lncc: shape mismatch {a.shape} vs {b.shape}")
-        m = _lncc_graph(a, b, window)
-        s = ad.reduce_mean(m)
-        return (s, m) if return_map else s
-    aa = _vol_array(a).astype(np.float32)
-    bb = _vol_array(b).astype(np.float32)
-    if aa.shape != bb.shape:
-        raise ValueError(f"lncc: shape mismatch {aa.shape} vs {bb.shape}")
-    m = _lncc_map_arrays(aa, bb, window)
-    s = float(m.mean(dtype=np.float64))
+    at, bt = ad._lift(a, np.float32), ad._lift(b, np.float32)
+    if at.shape != bt.shape:
+        raise ValueError(f"lncc: shape mismatch {at.shape} vs {bt.shape}")
+    m = _lncc_graph(at, bt, window)
+    s = ad.reduce_mean(m)
+    if not (isinstance(a, DiffTensor) or isinstance(b, DiffTensor)):
+        s, m = s.item(), m.data.reshape(ad._array_of(a).shape)
     return (s, m) if return_map else s
 
 
 # ---------------------------------------------------------------------------
 # modality gate
-
-
-def pool_array(a, factor):
-    """Non-differentiable average pooling of the last three axes (ragged ok)."""
-    out = np.asarray(a, dtype=np.float32)
-    for axis in range(out.ndim - 3, out.ndim):
-        out, _ = ad._pool_axis(out, factor, axis)
-    return out
 
 
 def gate_lncc(a, b, window=11, down=4):
@@ -101,15 +76,15 @@ def gate_lncc(a, b, window=11, down=4):
     Each pooled volume is mean-centred first, so the zero padding does not
     turn an intensity offset into correlation on border voxels.
     """
-    aa = pool_array(_vol_array(a), down)
-    bb = pool_array(_vol_array(b), down)
+    aa = ad.avg_pool3d(ad._lift(a, np.float32), down).data
+    bb = ad.avg_pool3d(ad._lift(b, np.float32), down).data
     return lncc(aa - aa.mean(), bb - bb.mean(), window)
 
 
 def modality_gate(a, b, window=11, tau=0.4, down=4):
     """True when the pair looks cross-contrast and should be style-transferred."""
-    aa = _vol_array(a)
-    bb = _vol_array(b)
+    aa = ad._array_of(a)
+    bb = ad._array_of(b)
     if aa.shape != bb.shape:
         raise ValueError(f"modality_gate: shape mismatch {aa.shape} vs {bb.shape}")
     return bool(gate_lncc(a, b, window=window, down=down) < tau)
@@ -119,36 +94,28 @@ def modality_gate(a, b, window=11, tau=0.4, down=4):
 # diffusion regularizer
 
 
-def _diffusion_counts(dims):
-    D, H, W = dims
-    return 3 * ((D - 1) * H * W + D * (H - 1) * W + D * H * (W - 1))
-
-
 def diffusion_reg(u):
     """Mean squared forward difference of the field over axes and components.
 
     Boundary differences are omitted; the mean pools every difference term
-    from all three axes and all three components.
+    from all three axes and all three components. A DisplacementField or
+    array is evaluated in float64 and gives a float; a DiffTensor gives a
+    graph node.
     """
-    if isinstance(u, DiffTensor):
-        dims = u.shape[2:]
-        total = None
-        for axis in range(3):
-            crops_hi = [(0, 0)] * 3
-            crops_lo = [(0, 0)] * 3
-            crops_hi[axis] = (1, 0)
-            crops_lo[axis] = (0, 1)
-            d = ad.sub(ad.crop_spatial(u, tuple(crops_hi)), ad.crop_spatial(u, tuple(crops_lo)))
-            ss = ad.reduce_sum(ad.square(d))
-            total = ss if total is None else ad.add(total, ss)
-        return ad.scale(total, 1.0 / _diffusion_counts(dims))
-    ua = u.data if hasattr(u, "dims") else np.asarray(u)
-    dims = ua.shape[1:]
-    acc = 0.0
-    for axis in range(1, 4):
-        d = np.diff(ua, axis=axis)
-        acc += float(np.sum(d.astype(np.float64) ** 2))
-    return acc / _diffusion_counts(dims)
+    ut = ad._lift(u, np.float64)
+    total = None
+    for axis in range(3):
+        crops_hi = [(0, 0)] * 3
+        crops_lo = [(0, 0)] * 3
+        crops_hi[axis] = (1, 0)
+        crops_lo[axis] = (0, 1)
+        d = ad.sub(ad.crop_spatial(ut, tuple(crops_hi)), ad.crop_spatial(ut, tuple(crops_lo)))
+        ss = ad.reduce_sum(ad.square(d))
+        total = ss if total is None else ad.add(total, ss)
+    D, H, W = ut.shape[2:]
+    count = 3 * ((D - 1) * H * W + D * (H - 1) * W + D * H * (W - 1))
+    reg = ad.scale(total, 1.0 / count)
+    return reg if isinstance(u, DiffTensor) else reg.item()
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +161,11 @@ def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):
 
 
 def total_loss(stage_warps, target, phi_T, lam=0.1, window=9):
-    """Multi-stage loss: sum_t -LNCC(I_A o phi_t, I_B) + lam * diffusion(phi_T)."""
-    if stage_warps and isinstance(stage_warps[0], DiffTensor):
-        _, report = total_loss_graph(stage_warps, target, phi_T, lam=lam, window=window)
-        return report
-    if not stage_warps:
-        raise ValueError("total_loss: need at least one stage warp")
-    sims = [lncc(w, target, window) for w in stage_warps]
-    reg = diffusion_reg(phi_T)
-    total = float(sum(-s for s in sims) + lam * reg)
-    return LossReport(sim=sims, reg=float(reg), lam=float(lam), total=total)
+    """Multi-stage loss: sum_t -LNCC(I_A o phi_t, I_B) + lam * diffusion(phi_T).
+
+    Returns the LossReport of total_loss_graph on the lifted inputs.
+    """
+    _, report = total_loss_graph([ad._lift(w, np.float32) for w in stage_warps],
+                                 ad._lift(target, np.float32), ad._lift(phi_T, np.float32),
+                                 lam=lam, window=window)
+    return report

@@ -7,7 +7,6 @@ Adam over its own parameters only; phi_0 is never touched.
 """
 
 import dataclasses
-import json
 import os
 import subprocess
 import tempfile
@@ -145,11 +144,6 @@ class IOTrace:
     final_ndv: float = None
     error: str = None
 
-    def write_jsonl(self, path):
-        with open(path, "a") as f:
-            for s in self.steps:
-                f.write(json.dumps(s.to_dict()) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # backbone
@@ -180,18 +174,19 @@ def _variational_field(spec, moving, fixed):
     factors = [2 ** (spec.levels - 1 - i) for i in range(spec.levels)]
     u = None
     for f in factors:
-        ia = losses.pool_array(moving.data, f) if f > 1 else moving.data
-        ib = losses.pool_array(fixed.data, f) if f > 1 else fixed.data
-        ldims = ia.shape
+        ia_t = ad.avg_pool3d(ad._lift(moving), f)
+        ib_t = ad.avg_pool3d(ad._lift(fixed), f)
+        ldims = ia_t.shape[2:]
         if u is None:
             u = np.zeros((3,) + ldims, dtype=np.float32)
         else:
             u = fa.upsample_field(u, target=ldims)
-        ia_t = DiffTensor(ia[None, None])
-        ib_t = DiffTensor(ib[None, None])
         for _ in range(spec.iters):
             ut = DiffTensor(u[None], requires_grad=True)
-            warped = fa.warp_tensor(ia_t, ut)
+            try:
+                warped = fa.warp_tensor(ia_t, ut)
+            except FloatingPointError as e:
+                raise RegistrationAbort(f"variational backbone diverged ({e})") from None
             loss = ad.add(ad.neg(losses.lncc(warped, ib_t, spec.window)),
                           ad.scale(losses.diffusion_reg(ut), spec.lam))
             if not np.isfinite(loss.item()):
@@ -323,53 +318,70 @@ def _mean_dice(moving_labels, fixed_labels, field_data):
     return mean
 
 
+def _train_step(cascade, params, state, inputs, cfg, lr, warmup):
+    """One Adam step on the cascade: forward, total loss, backward, update.
+
+    inputs is (phi0, moving, fixed) as graph leaves. Returns (field, report,
+    lr, error), where field is the final (3, D, H, W) array the loss was
+    taken at; the graph itself is not returned, so it is freed before the
+    next step. error is None or names the numerical failure: a non-finite
+    displacement in the forward pass, a non-finite loss, or a non-finite
+    gradient. On a failure no parameter moves and lr is 0.0; report is None
+    unless the loss was finite.
+    """
+    try:
+        phis, warps = un.cascade_forward(*inputs, cascade)
+    except FloatingPointError as e:
+        return None, None, 0.0, str(e)
+    field = phis[-1].data[0]
+    loss, report = losses.total_loss_graph(
+        warps, inputs[2], phis[-1], lam=cfg.lam, window=cfg.lncc_window)
+    if not np.isfinite(report.total):
+        return field, None, 0.0, "non-finite loss"
+    for p in params.values():
+        p.zero_grad()
+    loss.backward()
+    try:
+        return field, report, ad.adam_step(params, state, lr, warmup), None
+    except ad.GradientError as e:
+        return field, report, 0.0, str(e)
+
+
 def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
                       fixed_labels=None):
     """Adam-optimize the cascade parameters for one pair (backbone frozen).
 
     Returns the best-loss full-resolution field and the step trace. On a
-    non-finite loss or gradient the loop aborts, flags the trace, and
-    returns the best state seen so far.
+    non-finite displacement, loss or gradient the loop aborts, flags the
+    trace with the failure and its step, and returns the best state seen
+    so far.
     """
     if moving.dims != fixed.dims or phi0.dims != moving.dims:
         raise ValueError("instance_optimize: volume/field dims must match")
     params = cascade.named_params()
     state = ad.AdamState()
     trace = IOTrace()
-    phi0_t = DiffTensor(phi0.data[None])
-    mv_t = DiffTensor(moving.data[None, None])
-    fx_t = DiffTensor(fixed.data[None, None])
+    inputs = (ad._lift(phi0), ad._lift(moving), ad._lift(fixed))
     best_total = np.inf
     best_field = phi0.data.copy()
     want_dice = cfg.dice_every > 0 and moving_labels is not None and fixed_labels is not None
     for t in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
-        phis, warps = un.cascade_forward(phi0_t, mv_t, fx_t, cascade)
-        loss, report = losses.total_loss_graph(
-            warps, fx_t, phis[-1], lam=cfg.lam, window=cfg.lncc_window)
-        if not np.isfinite(report.total):
-            trace.error = f"non-finite loss at step {t}"
+        field, report, lr, error = _train_step(
+            cascade, params, state, inputs, cfg, cfg.base_lr, cfg.warmup)
+        if report is not None:
+            if report.total < best_total:
+                best_total = report.total
+                best_field = field.copy()
+                trace.best_step = t
+            rec = IOStep(step=t, sim=report.sim, reg=report.reg, total=report.total,
+                         lr=lr, elapsed_ms=(time.perf_counter() - t0) * 1e3)
+            if error is None and want_dice and t % cfg.dice_every == 0:
+                rec.dice = _mean_dice(moving_labels, fixed_labels, field)
+            trace.steps.append(rec)
+        if error is not None:
+            trace.error = f"{error} at step {t}"
             break
-        if report.total < best_total:
-            best_total = report.total
-            best_field = phis[-1].data[0].copy()
-            trace.best_step = t
-        for p in params.values():
-            p.zero_grad()
-        loss.backward()
-        try:
-            lr = ad.adam_step(params, state, cfg.base_lr, cfg.warmup)
-        except ad.GradientError as e:
-            trace.error = f"{e} at step {t}"
-            trace.steps.append(IOStep(
-                step=t, sim=report.sim, reg=report.reg, total=report.total,
-                lr=0.0, elapsed_ms=(time.perf_counter() - t0) * 1e3))
-            break
-        rec = IOStep(step=t, sim=report.sim, reg=report.reg, total=report.total,
-                     lr=lr, elapsed_ms=(time.perf_counter() - t0) * 1e3)
-        if want_dice and t % cfg.dice_every == 0:
-            rec.dice = _mean_dice(moving_labels, fixed_labels, phis[-1].data[0])
-        trace.steps.append(rec)
     out_field = DisplacementField(best_field)
     trace.final_ndv = fa.ndv(out_field)
     return out_field, trace
@@ -381,7 +393,7 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
     shuffle of the problem list at a fixed learning rate (no warmup).
 
     problems: list of (moving, fixed) Volume3D pairs. Returns the per-step
-    loss history; non-finite steps are skipped and recorded as None.
+    loss history; steps that fail numerically are skipped and recorded as None.
     """
     if not problems:
         raise ValueError("pretrain_refiners: empty problem list")
@@ -394,28 +406,12 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
     cache = {}
     for step in range(int(steps)):
         idx = int(order[step % len(order)])
-        moving, fixed = problems[idx]
         if idx not in cache:
-            cache[idx] = (backbone_predict(backbone, moving, fixed),
-                          DiffTensor(moving.data[None, None]),
-                          DiffTensor(fixed.data[None, None]))
-        phi0, mv_t, fx_t = cache[idx]
-        phi0_t = DiffTensor(phi0.data[None])
-        phis, warps = un.cascade_forward(phi0_t, mv_t, fx_t, cascade)
-        loss, report = losses.total_loss_graph(
-            warps, fx_t, phis[-1], lam=cfg.lam, window=cfg.lncc_window)
-        if not np.isfinite(report.total):
-            history.append(None)
-            continue
-        for p in params.values():
-            p.zero_grad()
-        loss.backward()
-        try:
-            ad.adam_step(params, state, lr, warmup_steps=0)
-        except ad.GradientError:
-            history.append(None)
-            continue
-        history.append(report.total)
+            moving, fixed = problems[idx]
+            cache[idx] = (ad._lift(backbone_predict(backbone, moving, fixed)),
+                          ad._lift(moving), ad._lift(fixed))
+        _, report, _, error = _train_step(cascade, params, state, cache[idx], cfg, lr, 0)
+        history.append(None if error else report.total)
     return history
 
 

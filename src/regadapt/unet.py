@@ -197,9 +197,7 @@ def cascade_forward(phi0, moving, target, cascade):
     output-magnitude factor multiplies the finest-stage residual (or every
     residual under scale_mode="all_residuals").
     """
-    phi_prev = phi0 if isinstance(phi0, DiffTensor) else DiffTensor(fa._tensorize_field(phi0))
-    mv = moving if isinstance(moving, DiffTensor) else DiffTensor(fa._tensorize_vol(moving))
-    tg = target if isinstance(target, DiffTensor) else DiffTensor(fa._tensorize_vol(target))
+    phi_prev, mv, tg = ad._lift(phi0), ad._lift(moving), ad._lift(target)
     full_dims = mv.shape[2:]
     if tg.shape[2:] != full_dims or phi_prev.shape[2:] != full_dims:
         raise ValueError("cascade_forward: moving/target/phi0 dims must match")

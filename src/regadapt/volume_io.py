@@ -173,12 +173,6 @@ def load_field(path):
     return DisplacementField(a)
 
 
-def load_any(path):
-    """Load whichever of the three kinds the manifest declares."""
-    _, _, kind = _read_manifest(path)
-    return {"volume": load_volume, "labels": load_labels, "field": load_field}[kind](path)
-
-
 def save_landmarks(lms, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

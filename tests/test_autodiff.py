@@ -153,18 +153,6 @@ def test_mean_square_gradcheck():
     check_gradients(lambda t: ad.reduce_mean(ad.square(t)), [a])
 
 
-def test_pointwise_dispatch_table():
-    x = DiffTensor(np.full((1, 1, 1, 1, 1), -2.0))
-    assert ad.pointwise(x, "leaky_relu").item() == pytest.approx(-0.4)
-    assert ad.pointwise(x, "neg").item() == 2.0
-    assert ad.pointwise(x, "square").item() == 4.0
-    assert ad.pointwise(x, "scale", s=0.5).item() == -1.0
-    y = DiffTensor(np.full((1, 1, 1, 1, 1), 3.0))
-    assert ad.pointwise(x, "add", other=y).item() == 1.0
-    assert ad.pointwise(x, "mul", other=y).item() == -6.0
-    assert ad.reduce(y, "sum").item() == 3.0
-
-
 # backward semantics
 
 

@@ -148,6 +148,23 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     assert cli._effective_config(args2).seed == 99  # env beats builtin
 
 
+
+def test_config_file_type_mismatch_is_input_error(tmp_path, capsys):
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps({"steps": "2"}))
+    rc = cli.main(["register", "--moving", "m", "--fixed", "f", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "steps" in err and "Traceback" not in err
+    cfg_path.write_text("[]")
+    rc = cli.main(["register", "--moving", "m", "--fixed", "f", "--config", str(cfg_path)])
+    assert rc == 1 and "Traceback" not in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"lam": 1, "tau": 0}))  # ints where floats are due
+    args = cli.build_parser().parse_args(["register", "--moving", "m", "--fixed", "f",
+                                          "--config", str(cfg_path)])
+    cfg = cli._effective_config(args)
+    assert (cfg.lam, cfg.tau) == (1.0, 0.0)
+
 def test_evaluate_single_and_batch(tmp_path):
     d = _synth(tmp_path, dims=(12, 12, 12))
     rep = tmp_path / "ev.json"

@@ -50,6 +50,21 @@ def test_warp_dims_mismatch():
         fa.warp(np.zeros((4, 4, 4), np.float32), np.zeros((3, 4, 4, 5), np.float32))
 
 
+
+def test_warp_nan_field_raises():
+    # a non-finite displacement must not reach the float -> int index cast
+    u = np.zeros((3, 4, 4, 4), np.float32)
+    u[1, 2, 2, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        fa.warp(np.ones((4, 4, 4), np.float32), u)
+
+
+def test_grid_cache_is_bounded():
+    for n in range(2, 13):
+        dims = (n, 3, 2)
+        fa.warp(np.ones(dims, np.float32), np.zeros((3,) + dims, np.float32))
+    assert fa._grid.cache_info().currsize <= 8
+
 def test_warp_gradient_wrt_field():
     dims = (6, 6, 6)
     vol = _smooth_volume(dims, 1).astype(np.float64)

@@ -211,6 +211,32 @@ def test_numerical_abort_returns_last_finite(prob):
     assert np.all(np.isfinite(out.data))
 
 
+
+def _diverging_cascade(cfg):
+    casc = cfg.make_cascade()
+    for net in casc.nets:
+        net["enc1.conv1.w"].data[:] = 1e30
+        net["final.w"].data[:] = 1e30
+    return casc
+
+
+def test_non_finite_displacement_names_its_step(prob):
+    cfg = small_cfg(steps=3)
+    _, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                    _diverging_cascade(cfg), cfg)
+    assert trace.error == "non-finite displacement at step 1"
+    assert trace.steps == [] and trace.best_step == -1
+    history = pl.pretrain_refiners([(prob.phantom, prob.fixed)], _diverging_cascade(cfg),
+                                   steps=2, cfg=cfg)
+    assert history == [None, None]
+
+
+def test_variational_non_finite_field_aborts(prob, monkeypatch):
+    monkeypatch.setattr(pl, "_ndi_gaussian", lambda a, sigma: np.full_like(a, np.nan))
+    spec = pl.BackboneSpec(kind="variational", levels=1, iters=2)
+    with pytest.raises(pl.RegistrationAbort, match="non-finite displacement"):
+        pl.backbone_predict(spec, prob.phantom, prob.fixed)
+
 def test_dice_recorded_every_n(prob):
     cfg = small_cfg(steps=4, dice_every=2)
     out, trace = pl.instance_optimize(

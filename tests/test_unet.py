@@ -1,5 +1,7 @@
 """Refiner networks and the multi-scale cascade."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,26 @@ def test_cascade_checkpoint_round_trip(tmp_path):
         for key in na:
             assert np.array_equal(na[key].data, nb[key].data)
 
+
+
+def test_cascade_checkpoint_rejects_edited_meta(tmp_path):
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    manifest_path = tmp_path / "cascade.ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["meta"]["output_scale"] = 0.5
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="config_hash"):
+        unet.load_cascade(path)
+
+
+def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(ValueError, match="bytes"):
+        unet.load_cascade(path)
 
 def test_cascade_validation():
     with pytest.raises(ValueError, match="variant"):
