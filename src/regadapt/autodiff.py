@@ -5,8 +5,10 @@ each op returns a new DiffTensor whose closure knows how to push gradients
 to its parents, and backward() replays the closures in reverse topological
 order. There is no broadcasting; binary ops require exactly matching
 shapes. Storage is float32 by default (float64 supported for gradient
-checking); reductions and cross-tile convolution accumulations run in
-float64.
+checking); reductions and the conv3d kernel-gradient accumulation run in
+float64. conv3d has one kernel path, GEMMs of row shifts on the flattened
+padded grid, for its forward pass and both gradients, and every gradient
+it returns is C-contiguous.
 """
 
 import hashlib
@@ -18,8 +20,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# conv tiles sized so one input slab stays cache-resident
-_CONV_TILE_BYTES = 2 << 20
+# output rows per conv3d GEMM tile; the wide operands are built per tile
+_CONV_TILE_ROWS = 4096
 
 
 class GradientError(RuntimeError):
@@ -335,91 +337,108 @@ def reduce_mean(x):
 # convolution
 
 
-def _conv_out_dim(size, k, stride, padding):
-    return (size + 2 * padding - k) // stride + 1
+def _flat_grid(xp, k):
+    """Padded grid xp (N, C, Dp, Hp, Wp) as channels-last rows (N, Dp*Hp*Wp + tail, C):
+    kernel offset (i, j, l) is the row shift i*Hp*Wp + j*Wp + l, and the zero
+    tail holds the rows the last offsets read past the grid."""
+    N, C, Dp, Hp, Wp = xp.shape
+    n = Dp * Hp * Wp
+    flat = np.empty((N, n + (k - 1) * (Wp + 1), C), dtype=xp.dtype)
+    flat[:, n:] = 0
+    flat[:, :n].reshape(N, Dp, Hp, Wp, C)[...] = xp.transpose(0, 2, 3, 4, 1)
+    return flat
+
+
+def _wide_tiles(flat, grid, k):
+    """Yield (n, r0, r1, ops) per tile of stride-1 output rows on the padded
+    H/W grid: ops[i*k + j], the (r1-r0, k*C) operand of offsets (i, j, 0..k-1),
+    is a row slice of one wide tile that holds each row beside its k-1
+    successors along W (k copies per tile)."""
+    Dp, Hp, Wp = grid
+    C = flat.shape[2]
+    rows, halo = (Dp - k + 1) * Hp * Wp, (k - 1) * (Hp * Wp + Wp)
+    for n in range(flat.shape[0]):
+        for r0 in range(0, rows, _CONV_TILE_ROWS):
+            r1 = min(r0 + _CONV_TILE_ROWS, rows)
+            wide = np.empty((r1 - r0 + halo, k * C), dtype=flat.dtype)
+            for l in range(k):
+                wide[:, l * C:(l + 1) * C] = flat[n, r0 + l:r1 + halo + l]
+            yield n, r0, r1, [wide[i * Hp * Wp + j * Wp:][:r1 - r0]
+                              for i in range(k) for j in range(k)]
+
+
+def _correlate(flat, grid, w, k):
+    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k, k*C, Co).
+
+    Returns a channels-last (N, Dp-k+1, Hp-k+1, Wp-k+1, Co) view that crops
+    the rows computed on the padded H/W grid.
+    """
+    Dp, Hp, Wp = grid
+    out = np.empty((flat.shape[0], (Dp - k + 1) * Hp * Wp, w.shape[2]), dtype=flat.dtype)
+    for n, r0, r1, ops in _wide_tiles(flat, grid, k):
+        acc = out[n, r0:r1]
+        tmp = np.empty_like(acc)
+        np.matmul(ops[0], w[0], out=acc)
+        for a, b in zip(ops[1:], w[1:]):
+            np.matmul(a, b, out=tmp)
+            acc += tmp
+    return out.reshape(-1, Dp - k + 1, Hp, Wp, w.shape[2])[:, :, :Hp - k + 1, :Wp - k + 1]
 
 
 def conv3d(x, kernel, stride=1, padding=0):
     """Zero-padded cross-correlation with a (C_out, C_in, k, k, k) kernel.
 
-    Implemented as one BLAS matmul per kernel offset, tiled along D so the
-    working set stays cache-resident. Differentiable wrt both arguments.
+    Each row tile of the flattened padded input costs k*k GEMMs of depth
+    k*C_in. The input gradient runs the same _correlate on the zero-bordered
+    output gradient with the flipped, transposed kernel; the kernel gradient
+    multiplies the same wide tiles with the output gradient, in float64.
+    stride > 1 subsamples the stride-1 result; its backward scatters g onto
+    the stride-1 grid. Differentiable wrt both arguments.
     """
-    Co, Ci, kd, kh, kw = kernel.shape
-    if kd != kh or kh != kw:
+    Co, Ci, k, kh, kw = kernel.shape
+    if k != kh or kh != kw:
         raise ValueError("conv3d: kernel must be cubic")
-    if kd % 2 != 1:
-        raise ValueError(f"conv3d: kernel size must be odd, got {kd}")
+    if k % 2 != 1:
+        raise ValueError(f"conv3d: kernel size must be odd, got {k}")
     if x.shape[1] != Ci:
         raise ValueError(f"conv3d: input has {x.shape[1]} channels, kernel expects {Ci}")
     N, _, D, H, W = x.shape
-    Do = _conv_out_dim(D, kd, stride, padding)
-    Ho = _conv_out_dim(H, kh, stride, padding)
-    Wo = _conv_out_dim(W, kw, stride, padding)
-    if min(Do, Ho, Wo) < 1:
+    if min(D, H, W) + 2 * padding < k:
         raise ValueError("conv3d: output would be empty")
-    dt = x.dtype
+    if padding >= k:
+        raise ValueError(f"conv3d: padding {padding} must be below the kernel size {k}")
+    dt, s, p = x.dtype, stride, padding
 
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
-    # channels-last copy so per-offset slabs reshape into GEMM operands
-    xcl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))
-    kmats = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # (kd,kh,kw,Ci,Co)
-
-    slab = max(1, _CONV_TILE_BYTES // (Ho * Wo * max(Ci, Co) * dt.itemsize))
-    ocl = np.empty((N, Do, Ho, Wo, Co), dtype=dt)
-
-    row = N * Ho * Wo
-
-    def _offset_slab(src, d0, d1, i, j, l, ci):
-        # contiguous (N*(d1-d0)*Ho*Wo, ci) copy of one kernel-offset slab
-        view = src[:, d0 * stride + i:(d1 - 1) * stride + i + 1:stride,
-                   j:j + stride * Ho:stride, l:l + stride * Wo:stride, :]
-        return np.ascontiguousarray(view).reshape((d1 - d0) * row, ci)
-
-    for d0 in range(0, Do, slab):
-        d1 = min(d0 + slab, Do)
-        acc = ocl[:, d0:d1].reshape((d1 - d0) * row, Co)
-        tmp = np.empty_like(acc)
-        first = True
-        for i in range(kd):
-            for j in range(kh):
-                for l in range(kw):
-                    xs2 = _offset_slab(xcl, d0, d1, i, j, l, Ci)
-                    if first:
-                        np.matmul(xs2, kmats[i, j, l], out=acc)
-                        first = False
-                    else:
-                        np.matmul(xs2, kmats[i, j, l], out=tmp)
-                        acc += tmp
-    out = np.ascontiguousarray(ocl.transpose(0, 4, 1, 2, 3))
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + ((p, p),) * 3)
+    grid = xp.shape[2:]
+    flat = _flat_grid(xp, k)
+    del xp
+    w = kernel.data.transpose(2, 3, 4, 1, 0).reshape(k * k, k * Ci, Co)
+    ocl = _correlate(flat, grid, w, k)
+    D1, H1, W1 = ocl.shape[1:4]
+    out = np.ascontiguousarray(ocl[:, ::s, ::s, ::s].transpose(0, 4, 1, 2, 3))
 
     def bwd(g):
-        gcl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
-        need_k = kernel.requires_grad
-        need_x = x.requires_grad
-        gk = np.zeros((kd, kh, kw, Ci, Co), dtype=np.float64) if need_k else None
-        gx = np.zeros_like(xcl) if need_x else None
-        for d0 in range(0, Do, slab):
-            d1 = min(d0 + slab, Do)
-            gs = gcl[:, d0:d1].reshape((d1 - d0) * row, Co)
-            for i in range(kd):
-                for j in range(kh):
-                    for l in range(kw):
-                        if need_k:
-                            xs2 = _offset_slab(xcl, d0, d1, i, j, l, Ci)
-                            gk[i, j, l] += xs2.T @ gs
-                        if need_x:
-                            contrib = gs @ kmats[i, j, l].T
-                            view = gx[:, d0 * stride + i:(d1 - 1) * stride + i + 1:stride,
-                                      j:j + stride * Ho:stride, l:l + stride * Wo:stride, :]
-                            view += contrib.reshape(N, d1 - d0, Ho, Wo, Ci)
-        if need_k:
-            kernel.accumulate_grad(gk.transpose(4, 3, 0, 1, 2).astype(dt), own=True)
-        if need_x:
-            gx = gx.transpose(0, 4, 1, 2, 3)
-            if padding:
-                gx = gx[:, :, padding:padding + D, padding:padding + H, padding:padding + W]
-            x.accumulate_grad(np.ascontiguousarray(gx), own=True)
+        if kernel.requires_grad:
+            # g on the padded H/W grid, zero on the rows the forward cropped
+            gcl = np.zeros((N, D1, grid[1], grid[2], Co), dtype=dt)
+            gcl[:, ::s, :H1:s, :W1:s] = g.transpose(0, 2, 3, 4, 1)
+            gcl = gcl.reshape(N, -1, Co)
+            gk = np.zeros((k * k, k * Ci, Co), dtype=np.float64)
+            for n, r0, r1, ops in _wide_tiles(flat, grid, k):
+                for ij, a in enumerate(ops):
+                    gk[ij] += a.T @ gcl[n, r0:r1]
+            gk = gk.reshape(k, k, k, Ci, Co).transpose(4, 3, 0, 1, 2)
+            kernel.accumulate_grad(np.ascontiguousarray(gk, dtype=dt), own=True)
+        if x.requires_grad:
+            # g on the stride-1 grid in a k-1-p zero border, built at its final size:
+            # _flat_grid is slow from a crop whose channel stride is a power of two
+            b, kf = k - 1 - p, kernel.data[:, :, ::-1, ::-1, ::-1]
+            gp = np.zeros((N, Co, D + k - 1, H + k - 1, W + k - 1), dtype=dt)
+            gp[:, :, b:b + D1:s, b:b + H1:s, b:b + W1:s] = g
+            wb = kf.transpose(2, 3, 4, 0, 1).reshape(k * k, k * Co, Ci)
+            gx = _correlate(_flat_grid(gp, k), gp.shape[2:], wb, k)
+            x.accumulate_grad(np.ascontiguousarray(gx.transpose(0, 4, 1, 2, 3)), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")
 

@@ -118,6 +118,9 @@ class IOConfig:
 
 @dataclass
 class IOStep:
+    """One IO step: the loss taken before its update, and that update's lr,
+    which is 0.0 where none ran (a numerical failure, or the last step)."""
+
     step: int
     sim: list
     reg: float
@@ -318,7 +321,7 @@ def _mean_dice(moving_labels, fixed_labels, field_data):
     return mean
 
 
-def _train_step(cascade, params, state, inputs, cfg, lr, warmup):
+def _train_step(cascade, params, state, inputs, cfg, lr, warmup, update=True):
     """One Adam step on the cascade: forward, total loss, backward, update.
 
     inputs is (phi0, moving, fixed) as graph leaves. Returns (field, report,
@@ -327,7 +330,8 @@ def _train_step(cascade, params, state, inputs, cfg, lr, warmup):
     next step. error is None or names the numerical failure: a non-finite
     displacement in the forward pass, a non-finite loss, or a non-finite
     gradient. On a failure no parameter moves and lr is 0.0; report is None
-    unless the loss was finite.
+    unless the loss was finite. update=False only evaluates: no backward
+    and no update run, so no gradient is checked, and lr is 0.0.
     """
     try:
         phis, warps = un.cascade_forward(*inputs, cascade)
@@ -340,6 +344,8 @@ def _train_step(cascade, params, state, inputs, cfg, lr, warmup):
         return field, None, 0.0, "non-finite loss"
     for p in params.values():
         p.zero_grad()
+    if not update:
+        return field, report, 0.0, None
     loss.backward()
     try:
         return field, report, ad.adam_step(params, state, lr, warmup), None
@@ -351,10 +357,14 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
                       fixed_labels=None):
     """Adam-optimize the cascade parameters for one pair (backbone frozen).
 
+    Step t takes the loss before its own update, and the field returned is
+    the best one evaluated, so the last step only evaluates: it runs no
+    backward and no update, and records lr 0.0, as a failed step does.
     Returns the best-loss full-resolution field and the step trace. On a
     non-finite displacement, loss or gradient the loop aborts, flags the
     trace with the failure and its step, and returns the best state seen
-    so far.
+    so far. The last step computes no gradient, so a non-finite one there
+    is never seen and does not abort the run.
     """
     if moving.dims != fixed.dims or phi0.dims != moving.dims:
         raise ValueError("instance_optimize: volume/field dims must match")
@@ -368,7 +378,7 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
     for t in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         field, report, lr, error = _train_step(
-            cascade, params, state, inputs, cfg, cfg.base_lr, cfg.warmup)
+            cascade, params, state, inputs, cfg, cfg.base_lr, cfg.warmup, update=t < cfg.steps)
         if report is not None:
             if report.total < best_total:
                 best_total = report.total

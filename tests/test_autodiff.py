@@ -56,6 +56,47 @@ def test_conv_gradcheck():
     check_gradients(lambda xt, kt: ad.reduce_mean(ad.conv3d(xt, kt, 1, 1)), [x, k])
 
 
+CONV_CASES = [  # (x shape, kernel shape, stride, padding)
+    ((1, 2, 4, 5, 7), (3, 2, 3, 3, 3), 1, 1),
+    ((1, 2, 4, 5, 7), (3, 2, 3, 3, 3), 1, 0),
+    ((2, 2, 4, 5, 7), (2, 2, 3, 3, 3), 1, 1),
+    ((1, 2, 5, 6, 7), (2, 2, 3, 3, 3), 2, 0),
+    ((1, 2, 5, 6, 7), (2, 2, 3, 3, 3), 2, 1),
+    ((2, 3, 4, 5, 7), (2, 3, 1, 1, 1), 1, 0),
+]
+
+
+@pytest.mark.parametrize("xs,ks,stride,padding", CONV_CASES)
+def test_conv_non_cubic_batched_strided_matches_oracle(xs, ks, stride, padding):
+    x, k = RNG.standard_normal(xs), RNG.standard_normal(ks)
+    out = ad.conv3d(DiffTensor(x), DiffTensor(k), stride, padding)
+    assert max_rel_err(out.data, conv3d_oracle(x, k, stride, padding)) < 1e-10
+    check_gradients(lambda xt, kt: ad.reduce_mean(ad.square(ad.conv3d(xt, kt, stride, padding))),
+                    [x, k * 0.3])
+
+
+def test_conv_kernel_grad_contiguous_and_adam_unchanged():
+    x = DiffTensor(RNG.standard_normal((1, 4, 6, 6, 6)).astype(np.float32))
+    k = DiffTensor(RNG.standard_normal((5, 4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    ad.reduce_mean(ad.square(ad.conv3d(x, k, 1, 1))).backward()
+    assert k.grad.flags.c_contiguous
+    # the update does not depend on the gradient's memory layout
+    moved = []
+    for grad in (k.grad, np.asfortranarray(k.grad)):
+        p = DiffTensor(k.data.copy(), requires_grad=True)
+        p.grad = grad
+        ad.adam_step({"k": p}, ad.AdamState(), 1e-2, 0)
+        moved.append(p.data)
+    assert not np.array_equal(moved[0], k.data)
+    assert np.array_equal(moved[0], moved[1])
+
+
+def test_conv_rejects_padding_not_below_kernel():
+    x = DiffTensor(np.zeros((1, 2, 4, 4, 4)))
+    with pytest.raises(ValueError, match="padding"):
+        ad.conv3d(x, DiffTensor(np.zeros((1, 2, 3, 3, 3))), 1, 3)
+
+
 def test_conv_rejects_bad_kernels():
     x = DiffTensor(np.zeros((1, 2, 4, 4, 4)))
     with pytest.raises(ValueError, match="odd"):

@@ -169,6 +169,35 @@ def test_trace_length_and_step_one_consistency(prob):
     assert trace.steps[0].total == pytest.approx(expect, rel=1e-6)
 
 
+def test_single_step_only_evaluates(prob):
+    cfg = small_cfg(steps=1)
+    casc = cfg.make_cascade()
+    init = {name: p.data.copy() for name, p in casc.named_params().items()}
+    _, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                    casc, cfg)
+    assert [s.lr for s in trace.steps] == [0.0]
+    for name, p in casc.named_params().items():
+        assert np.array_equal(p.data, init[name]), name
+
+
+def test_last_step_has_no_update(prob):
+    cfg = small_cfg(steps=3)
+    _, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                    cfg.make_cascade(), cfg)
+    lrs = [s.lr for s in trace.steps]
+    assert lrs[0] > 0 and lrs[1] > 0 and lrs[2] == 0.0
+
+
+def test_totals_are_a_prefix_of_a_longer_run(prob):
+    totals = {}
+    for steps in (3, 4):
+        cfg = small_cfg(steps=steps)
+        _, trace = pl.instance_optimize(prob.phantom, prob.fixed,
+                                        DisplacementField.zero(DIMS), cfg.make_cascade(), cfg)
+        totals[steps] = [s.total for s in trace.steps]
+    assert totals[3] == totals[4][:3]
+
+
 def test_phi0_frozen(prob):
     cfg = small_cfg()
     phi0 = DisplacementField(np.random.default_rng(3).uniform(
