@@ -8,9 +8,13 @@ shapes. Storage is float32 by default (float64 supported for gradient
 checking); reductions and the conv3d kernel-gradient accumulation run in
 float64. conv3d has one kernel path, GEMMs of row shifts on the flattened
 padded grid, for its forward pass and both gradients, and every gradient
-it returns is C-contiguous.
+it returns is C-contiguous. Every separable linear op (resize, average
+pooling, Gaussian filtering) is one cached (n_out, n_in) matrix per spatial
+axis, applied by _apply_axes as one matmul per axis; its backward applies
+the transposed matrices.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -98,9 +102,6 @@ class DiffTensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def detach(self):
-        return DiffTensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
@@ -444,28 +445,79 @@ def conv3d(x, kernel, stride=1, padding=0):
 
 
 # ---------------------------------------------------------------------------
-# resampling
+# separable linear ops: one (n_out, n_in) matrix per spatial axis
 
 
-def _interp_matrix(n_in, n_out, dtype):
+def _interp_matrix(n_in, n_out):
     """Half-pixel (align-corners-false) 1D linear interpolation matrix."""
-    m = np.zeros((n_out, n_in), dtype=dtype)
-    if n_in == 1:
-        m[:, 0] = 1.0
-        return m
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.clip(np.floor(src).astype(np.int64), 0, n_in - 2)
-    t = src - i0
-    m[np.arange(n_out), i0] = (1.0 - t).astype(dtype)
-    m[np.arange(n_out), i0 + 1] += t.astype(dtype)
+    src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.clip(np.floor(src).astype(np.int64), 0, max(n_in - 2, 0))
+    m = np.zeros((n_out, n_in))
+    np.add.at(m, (np.arange(n_out), i0), 1.0 - (src - i0))
+    np.add.at(m, (np.arange(n_out), np.minimum(i0 + 1, n_in - 1)), src - i0)
     return m
 
 
-def _apply_axis_matrix(a, m, axis):
-    # y[..., o, ...] = sum_i m[o, i] * a[..., i, ...]
-    out = np.tensordot(a, m, axes=([axis], [1]))
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+def _pool_matrix(n, factor):
+    """Mean over consecutive blocks of `factor` samples; the last block may be shorter."""
+    block = np.arange(n) // factor
+    return np.equal.outer(np.arange(block[-1] + 1), block) / np.bincount(block)[:, None]
+
+
+def _band_matrix(n, taps, reflect=False):
+    """Correlation with the odd-length taps, centred; a sample outside [0, n)
+    reads zero, or with reflect its half-sample-symmetric mirror (period 2n,
+    so any radius works)."""
+    r = (len(taps) - 1) // 2
+    src = np.arange(n)[:, None] + np.arange(-r, r + 1)
+    if reflect:
+        src %= 2 * n
+        src = np.minimum(src, 2 * n - 1 - src)
+    else:
+        src[(src < 0) | (src >= n)] = n  # a column that is dropped
+    m = np.zeros((n, n + 1))
+    np.add.at(m, (np.arange(n)[:, None], src), np.broadcast_to(taps, src.shape))
+    return m[:, :n]
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_matrix(build, n, args, dtype):
+    """build(n, *args) in dtype, cached and read-only: the (n_out, n) matrix
+    of one separable op along an axis of n samples."""
+    m = build(n, *args).astype(dtype)
+    m.flags.writeable = False
+    return m
+
+
+def _axis_matrices(build, dims, args, dtype):
+    return [_axis_matrix(build, n, a, dtype) for n, a in zip(dims, args)]
+
+
+def _apply_axes(a, mats):
+    """y[.., o, p, q] = sum_ijk MD[o, i] MH[p, j] MW[q, k] a[.., i, j, k] for
+    mats (MD, MH, MW) over the last three axes: one matmul per axis on
+    reshapes of a, W then H then D, with no transposed copies."""
+    md, mh, mw = mats
+    *lead, D, H, W = a.shape
+    Do, Ho, Wo = md.shape[0], mh.shape[0], mw.shape[0]
+    y = (a.reshape(-1, W) @ mw.T).reshape(-1, H, Wo)
+    y = np.matmul(mh, y).reshape(-1, D, Ho * Wo)
+    return np.matmul(md, y).reshape(*lead, Do, Ho, Wo)
+
+
+def _axis_op(x, mats, op):
+    """Graph node applying per-axis matrices; its backward applies their transposes."""
+    def bwd(g):
+        x.accumulate_grad(_apply_axes(g, [m.T for m in mats]), own=True)
+
+    return _result(_apply_axes(x.data, mats), (x,), bwd, op)
+
+
+def _identity(x, op):
+    def bwd(g):
+        x.accumulate_grad(g)
+
+    return _result(x.data.copy(), (x,), bwd, op)
 
 
 def resize_target_dims(spatial, factor):
@@ -479,40 +531,16 @@ def trilinear_resize(x, factor=None, target=None):
     """
     if (factor is None) == (target is None):
         raise ValueError("trilinear_resize: give exactly one of factor/target")
-    D, H, W = x.shape[2:]
+    dims = x.shape[2:]
     if target is None:
-        target = resize_target_dims((D, H, W), float(factor))
+        target = resize_target_dims(dims, float(factor))
     target = tuple(int(t) for t in target)
     if min(target) < 1:
         raise ValueError(f"trilinear_resize: empty output dims {target}")
-    if target == (D, H, W):
-        def bwd_id(g):
-            x.accumulate_grad(g)
-        return _result(x.data.copy(), (x,), bwd_id, "resize")
-
-    mats = [_interp_matrix(s_in, s_out, x.dtype)
-            for s_in, s_out in zip((D, H, W), target)]
-    y = x.data
-    for axis, m in zip((2, 3, 4), mats):
-        y = _apply_axis_matrix(y, m, axis)
-
-    def bwd(g):
-        gg = g
-        for axis, m in zip((2, 3, 4), mats):
-            gg = _apply_axis_matrix(gg, m.T, axis)
-        x.accumulate_grad(gg)
-
-    return _result(y, (x,), bwd, "resize")
-
-
-def _pool_axis(a, factor, axis):
-    n = a.shape[axis]
-    bounds = np.arange(0, n, factor)
-    sizes = np.diff(np.append(bounds, n))
-    shape = [1] * a.ndim
-    shape[axis] = len(bounds)
-    sums = np.add.reduceat(a, bounds, axis=axis)
-    return sums / sizes.reshape(shape).astype(a.dtype), sizes
+    if target == dims:
+        return _identity(x, "resize")
+    mats = _axis_matrices(_interp_matrix, dims, [(t,) for t in target], x.dtype)
+    return _axis_op(x, mats, "resize")
 
 
 def avg_pool3d(x, factor):
@@ -521,36 +549,22 @@ def avg_pool3d(x, factor):
     if factor < 1:
         raise ValueError("avg_pool3d: factor must be >= 1")
     if factor == 1:
-        def bwd_id(g):
-            x.accumulate_grad(g)
-        return _result(x.data.copy(), (x,), bwd_id, "avg_pool")
-    y = x.data
-    all_sizes = []
-    for axis in (2, 3, 4):
-        y, sizes = _pool_axis(y, factor, axis)
-        all_sizes.append(sizes)
-
-    def bwd(g):
-        gg = g
-        for axis, sizes in zip((2, 3, 4), all_sizes):
-            shape = [1] * gg.ndim
-            shape[axis] = len(sizes)
-            gg = np.repeat(gg / sizes.reshape(shape).astype(gg.dtype), sizes, axis=axis)
-        x.accumulate_grad(gg)
-
-    return _result(np.ascontiguousarray(y), (x,), bwd, "avg_pool")
+        return _identity(x, "avg_pool")
+    mats = _axis_matrices(_pool_matrix, x.shape[2:], [(factor,)] * 3, x.dtype)
+    return _axis_op(x, mats, "avg_pool")
 
 
 def gaussian_kernel1d(window, dtype=np.float64):
     """Truncated, renormalized Gaussian; radius (window-1)/2, sigma window/4."""
     if window % 2 != 1:
         raise ValueError(f"gaussian window must be odd, got {window}")
-    r = (window - 1) // 2
-    sigma = window / 4.0
-    t = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    k /= k.sum()
-    return k.astype(dtype)
+    return _gaussian_taps((window - 1) // 2, window / 4.0).astype(dtype)
+
+
+def _gaussian_taps(radius, sigma):
+    """exp(-t^2 / 2 sigma^2) for t in [-radius, radius], normalized to sum 1."""
+    k = np.exp(-np.arange(-radius, radius + 1.0) ** 2 / (2.0 * sigma * sigma))
+    return k / k.sum()
 
 
 def filter_separable(a, k1d):
@@ -558,32 +572,18 @@ def filter_separable(a, k1d):
 
     Works on raw (.., D, H, W) arrays; the last three axes are filtered.
     """
-    r = (len(k1d) - 1) // 2
-    k = k1d.astype(a.dtype)
-    out = a
-    for axis in range(a.ndim - 3, a.ndim):
-        pad = [(0, 0)] * a.ndim
-        pad[axis] = (r, r)
-        ap = np.pad(out, pad)
-        acc = np.zeros_like(out)
-        sl = [slice(None)] * a.ndim
-        n = out.shape[axis]
-        for t in range(len(k)):
-            sl[axis] = slice(t, t + n)
-            acc += k[t] * ap[tuple(sl)]
-        out = acc
-    return out
+    taps = tuple(np.asarray(k1d, dtype=np.float64).tolist())
+    return _apply_axes(a, _axis_matrices(_band_matrix, a.shape[-3:], [(taps,)] * 3, a.dtype))
 
 
 def gaussian_filter(x, window):
     """Separable Gaussian smoothing as a differentiable op (self-adjoint)."""
     k1d = gaussian_kernel1d(window)
-    y = filter_separable(x.data, k1d)
 
     def bwd(g):
-        x.accumulate_grad(filter_separable(g, k1d))
+        x.accumulate_grad(filter_separable(g, k1d), own=True)
 
-    return _result(y, (x,), bwd, "gauss")
+    return _result(filter_separable(x.data, k1d), (x,), bwd, "gauss")
 
 
 def instance_norm(x, eps=1e-5):

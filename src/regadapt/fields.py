@@ -244,12 +244,8 @@ def upsample_field(u, factor=None, target=None):
     multiplied by target_c / source_c.
     """
     ut = ad._lift(u)
-    dims = ut.shape[2:]
-    if target is None:
-        target = ad.resize_target_dims(dims, float(factor))
-    target = tuple(int(x) for x in target)
-    resized = ad.trilinear_resize(ut, target=target)
-    ratios = tuple(t / s for t, s in zip(target, dims))
+    resized = ad.trilinear_resize(ut, factor=factor, target=target)
+    ratios = tuple(t / s for t, s in zip(resized.shape[2:], ut.shape[2:]))
     return _like(ad.scale_channels(resized, ratios), u)
 
 

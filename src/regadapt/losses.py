@@ -100,21 +100,20 @@ def diffusion_reg(u):
     Boundary differences are omitted; the mean pools every difference term
     from all three axes and all three components. A DisplacementField or
     array is evaluated in float64 and gives a float; a DiffTensor gives a
-    graph node.
+    graph node, one op whose backward adds 2 g d / count to the upper end
+    of each difference d and subtracts it from the lower end.
     """
     ut = ad._lift(u, np.float64)
-    total = None
-    for axis in range(3):
-        crops_hi = [(0, 0)] * 3
-        crops_lo = [(0, 0)] * 3
-        crops_hi[axis] = (1, 0)
-        crops_lo[axis] = (0, 1)
-        d = ad.sub(ad.crop_spatial(ut, tuple(crops_hi)), ad.crop_spatial(ut, tuple(crops_lo)))
-        ss = ad.reduce_sum(ad.square(d))
-        total = ss if total is None else ad.add(total, ss)
-    D, H, W = ut.shape[2:]
-    count = 3 * ((D - 1) * H * W + D * (H - 1) * W + D * H * (W - 1))
-    reg = ad.scale(total, 1.0 / count)
+    diffs = [np.diff(ut.data, axis=axis) for axis in (2, 3, 4)]
+    count = sum(d.size for d in diffs)
+    total = sum(np.square(d).sum(dtype=np.float64) for d in diffs)
+
+    def bwd(g):
+        zero, c = ut.dtype.type(0), ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
+        ut.accumulate_grad(c * sum(np.diff(d, axis=axis, prepend=zero, append=zero)
+                                   for axis, d in zip((2, 3, 4), diffs)), own=True)
+
+    reg = ad._result(np.full((1,) * 5, total / count, ut.dtype), (ut,), bwd, "diffusion")
     return reg if isinstance(u, DiffTensor) else reg.item()
 
 

@@ -9,7 +9,6 @@ the distance to its moving-image partner. Folding (NDV) lives in fields.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +102,6 @@ class MetricReport:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1)
 
     CSV_FIELDS = ("pair", "dice_mean", "hd95_mean", "tre_mean", "tre_median", "ndv_percent")
 

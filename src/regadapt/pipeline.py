@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter as _ndi_gaussian
 
 from . import autodiff as ad
 from . import fields as fa
@@ -199,9 +198,17 @@ def _variational_field(spec, moving, fixed):
             peak = float(np.abs(g).max())
             if peak > 0:
                 u = u - (spec.step / peak) * g
-            for c in range(3):
-                u[c] = _ndi_gaussian(u[c], sigma=spec.smooth_sigma)
+            u = _ndi_gaussian(u, spec.smooth_sigma)
     return DisplacementField(u.astype(np.float32))
+
+
+def _ndi_gaussian(a, sigma):
+    """Gaussian smoothing of the last three axes of a; reproduces
+    scipy.ndimage.gaussian_filter(mode="reflect", truncate=4.0) on each (D, H, W)
+    component: radius int(4 sigma + 0.5), half-sample-symmetric border."""
+    taps = tuple(ad._gaussian_taps(int(4.0 * sigma + 0.5), sigma).tolist())
+    return ad._apply_axes(a, ad._axis_matrices(ad._band_matrix, a.shape[-3:],
+                                               [(taps, True)] * 3, a.dtype))
 
 
 def iterate_backbone(spec, moving, fixed, k):

@@ -138,3 +138,16 @@ def conv3d_oracle(x, k, stride=1, padding=0):
 def endpoint_error(field_data, truth_data):
     d = field_data.astype(np.float64) - truth_data.astype(np.float64)
     return float(np.sqrt((d ** 2).sum(axis=0)).mean())
+
+
+def avg_pool_oracle(a, factor):
+    """Mean over each factor^3 block of a (D, H, W) array, clipped blocks at the ragged tail."""
+    D, H, W = a.shape
+    out = np.zeros((-(-D // factor), -(-H // factor), -(-W // factor)), dtype=np.float64)
+    for d in range(out.shape[0]):
+        for h in range(out.shape[1]):
+            for w in range(out.shape[2]):
+                block = a[d * factor:(d + 1) * factor, h * factor:(h + 1) * factor,
+                          w * factor:(w + 1) * factor]
+                out[d, h, w] = float(block.astype(np.float64).sum()) / block.size
+    return out

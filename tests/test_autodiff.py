@@ -6,7 +6,8 @@ import pytest
 from regadapt import autodiff as ad
 from regadapt.autodiff import DiffTensor
 
-from oracles import conv3d_oracle, fd_gradient, max_rel_err, trilinear_resize_oracle
+from oracles import (avg_pool_oracle, conv3d_oracle, fd_gradient, max_rel_err,
+                     trilinear_resize_oracle)
 
 RNG = np.random.default_rng(1234)
 
@@ -244,6 +245,41 @@ def test_avg_pool_ragged_tail():
 def test_avg_pool_gradcheck():
     a = RNG.standard_normal((1, 1, 5, 4, 4))
     check_gradients(lambda t: ad.reduce_mean(ad.square(ad.avg_pool3d(t, 2))), [a])
+
+
+@pytest.mark.parametrize("factor, dims", [(3, (7, 5, 9)), (4, (6, 9, 5)), (3, (2, 4, 3))])
+def test_avg_pool_ragged_matches_loop_oracle(factor, dims):
+    a = RNG.standard_normal((1, 2) + dims)
+    out = ad.avg_pool3d(DiffTensor(a), factor)
+    for c in range(2):
+        assert max_rel_err(out.data[0, c], avg_pool_oracle(a[0, c], factor)) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: ad.trilinear_resize(t, target=(7, 3, 10)),
+    lambda t: ad.avg_pool3d(t, 3),
+    lambda t: ad.gaussian_filter(t, 7),
+], ids=["resize", "pool", "gauss"])
+def test_separable_backward_is_the_adjoint(build):
+    # <A x, y> = <x, A^T y>, with A^T y the gradient of sum(A x * y)
+    x = DiffTensor(RNG.standard_normal((2, 3, 5, 6, 8)), requires_grad=True)
+    ax = build(x)
+    y = RNG.standard_normal(ax.shape)
+    ad.reduce_sum(ad.mul(ax, DiffTensor(y))).backward()
+    lhs, rhs = np.vdot(ax.data, y), np.vdot(x.data, x.grad)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_axis_matrix_cache_is_bounded_and_read_only():
+    k = ad.gaussian_kernel1d(5)
+    for n in range(2, 90):
+        ad.filter_separable(np.ones((n, 3, 2)), k)
+    info = ad._axis_matrix.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    m = ad._axis_matrix(ad._band_matrix, 6, (tuple(k.tolist()),), np.dtype(np.float64))
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_gaussian_filter_gradcheck_and_normalization():

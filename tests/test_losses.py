@@ -168,6 +168,12 @@ def test_diffusion_gradcheck():
     assert max_rel_err(ut.grad, fd) < 1e-3
 
 
+def test_diffusion_is_one_graph_op():
+    ut = ad.DiffTensor(RNG.standard_normal((1, 3, 4, 5, 3)), requires_grad=True)
+    reg = losses.diffusion_reg(ut)
+    assert reg._parents == (ut,)
+
+
 # total loss
 
 

@@ -260,6 +260,19 @@ def test_non_finite_displacement_names_its_step(prob):
     assert history == [None, None]
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (9, 33, 17), (16, 16, 16)])
+def test_variational_smoother_matches_scipy(dims):
+    # sigma 2 has radius 8, wider than the first three grids: the border folds more than once
+    from scipy.ndimage import gaussian_filter
+
+    u = np.random.default_rng(5).standard_normal((3,) + dims).astype(np.float32)
+    got = pl._ndi_gaussian(u, 2.0)
+    assert got.shape == u.shape and got.dtype == u.dtype
+    for c in range(3):
+        ref = gaussian_filter(u[c], sigma=2.0, mode="reflect", truncate=4.0)
+        assert np.abs(got[c] - ref).max() < 1e-6
+
+
 def test_variational_non_finite_field_aborts(prob, monkeypatch):
     monkeypatch.setattr(pl, "_ndi_gaussian", lambda a, sigma: np.full_like(a, np.nan))
     spec = pl.BackboneSpec(kind="variational", levels=1, iters=2)
