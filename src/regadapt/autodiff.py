@@ -480,6 +480,14 @@ def _band_matrix(n, taps, reflect=False):
     return m[:, :n]
 
 
+def gaussian_reflect(a, sigma):
+    """Gaussian smoothing of the last three axes of a, in a's dtype; reproduces
+    scipy.ndimage.gaussian_filter(mode="reflect", truncate=4.0) on each (D, H, W)
+    component: radius int(4 sigma + 0.5), half-sample-symmetric border."""
+    taps = tuple(_gaussian_taps(int(4.0 * sigma + 0.5), sigma).tolist())
+    return _apply_axes(a, _axis_matrices(_band_matrix, a.shape[-3:], [(taps, True)] * 3, a.dtype))
+
+
 @functools.lru_cache(maxsize=64)
 def _axis_matrix(build, n, args, dtype):
     """build(n, *args) in dtype, cached and read-only: the (n_out, n) matrix

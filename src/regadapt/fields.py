@@ -11,7 +11,9 @@ Trilinear sampling is exact for constants and at grid points. It takes
 the lower corner floor(p), so the fraction t lies in [0, 1) and is exactly
 0 on grid points, the last plane included, and it forms nested lerps
 a + t * (b - a): a constant input has b - a == 0, and t == 0 returns a.
-The gradient wrt the field keeps a one-sided slope on the last plane.
+Warps and point samples share this one kernel. The gradient wrt the field
+keeps a one-sided slope on the last plane: _cells(one_sided=True) samples
+it from the cell below, with t == 1.
 """
 
 import dataclasses
@@ -57,84 +59,73 @@ class DisplacementField:
 
 
 # ---------------------------------------------------------------------------
-# trilinear sampling core of warp_tensor
+# trilinear sampling core of warp_tensor and sample_field_at_points
 
 
-def _sample_prep(dims, disp):
-    """Clamped sample positions -> lower corner floor(p), fraction in [0, 1), masks.
+def _sample_prep(dims, pos):
+    """Absolute sample positions (3, ...) -> clamped lower corner floor(p),
+    fraction in [0, 1) and in-bounds masks, per axis.
 
-    Raises FloatingPointError on a non-finite displacement, before the
+    Raises FloatingPointError on a non-finite position, before the
     float -> int cast that would turn it into an arbitrary index.
     """
-    dt = disp.dtype
-    itype = np.int32 if np.prod(dims) < 2**31 else np.int64  # flat indices fit
-    pos = _grid(dims, dt) + disp
     if not np.isfinite(pos).all():
         raise FloatingPointError("non-finite displacement")
+    itype = np.int32 if np.prod(dims) < 2**31 else np.int64  # flat indices fit
     i0, t, inb = [], [], []
-    for a, s in enumerate(dims):
-        p = pos[a]
+    for p, s in zip(pos, dims):
         inb.append((p >= 0) & (p <= s - 1))
         p = np.clip(p, 0.0, s - 1.0)
         base = np.clip(np.floor(p).astype(itype), 0, s - 1)
         i0.append(base)
-        t.append((p - base).astype(dt))
+        t.append((p - base).astype(pos.dtype))
     return i0, t, inb
 
 
-def _slope_cells(i0, t, dims):
-    """Cells for the gradient wrt u: a sample on the last grid plane uses the
-    cell below it with t = 1, so its slope is one-sided instead of zero.
+def _cells(i0, t, dims, one_sided=False):
+    """Flat lower corners, per-axis steps to the upper corners and fractions.
 
-    Returns the lower corners' flat index, the per-axis steps to the upper
-    corners (scalars: no cell starts on the last plane) and the fractions.
+    A sample on the last plane has t == 0 and a zero step. With one_sided it
+    uses the cell below instead, with t == 1, so its slope is one-sided.
     """
-    lo, tt = [], []
-    for base, ta, s in zip(i0, t, dims):
-        edge = base > max(s - 2, 0)
-        lo.append(base - edge)
-        tt.append(ta + edge)
     D, H, W = dims
-    steps = tuple(stride if s > 1 else 0 for s, stride in zip(dims, (H * W, W, 1)))
-    return ((lo[0] * H + lo[1]) * W + lo[2]).astype(np.intp), steps, tt
+    lo, steps, tt = [], [], []
+    for base, ta, s, stride in zip(i0, t, dims, (H * W, W, 1)):
+        if one_sided:
+            edge = base > max(s - 2, 0)
+            base, ta = base - edge, ta + edge
+        lo.append(base)
+        tt.append(ta)
+        steps.append((base < s - 1) * np.int32(stride))
+    return (lo[0] * H + lo[1]) * W + lo[2], steps, tt
 
 
-def _corner_flats(i0, dims):
-    """Flat index of the lower corner and per-axis steps to the upper one;
-    a step is 0 where the lower corner is already the last plane."""
-    D, H, W = dims
-    f0 = (i0[0] * H + i0[1]) * W + i0[2]
-    offs = tuple((base < s - 1) * np.int32(stride)
-                 for base, s, stride in zip(i0, dims, (H * W, W, 1)))
-    return f0, offs
+def _lerp(lo, hi, t):
+    """lo + t * (hi - lo), in place on hi."""
+    hi -= lo
+    hi *= t
+    hi += lo
+    return hi
 
 
-def _trilinear_gather(vol_flat, f0, offs, t):
-    """vol_flat: (C, D*H*W); returns (C, D, H, W) interpolated values.
+def _lerp3(vol_flat, f0, steps, t, slopes=False, a=0):
+    """Trilinear values (C,) + f0.shape of vol_flat (C, n) in the cells
+    (f0, steps, t), as nested lerps along W, then H, then D. With slopes, also
+    returns [d/dt_D, d/dt_H, d/dt_W] of the values, else [].
 
-    Nested lerps a + t * (b - a) along W, then H, then D.
+    Recurses over the axes from a, f0 being the corners fixed before it. It
+    is not a closure: a recursive closure is a reference cycle, which keeps
+    the gathers alive until the cyclic collector runs.
     """
-    shape = (vol_flat.shape[0],) + f0.shape
-    dtype = np.result_type(vol_flat.dtype, t[0].dtype)
-    od, oh, ow = offs
-    td, th, tw = t
-
-    def at(idx):
-        return vol_flat[:, idx.ravel()].reshape(shape).astype(dtype, copy=False)
-
-    def lerp(lo, hi, w):  # in place on the fresh gather hi
-        hi -= lo
-        hi *= w
-        hi += lo
-        return hi
-
-    def along_w(idx):
-        return lerp(at(idx), at(idx + ow), tw)
-
-    def along_hw(idx):
-        return lerp(along_w(idx), along_w(idx + oh), th)
-
-    return lerp(along_hw(f0), along_hw(f0 + od), td)
+    if a == 3:
+        at = vol_flat[:, f0.ravel()].reshape((vol_flat.shape[0],) + f0.shape)
+        return at.astype(np.result_type(vol_flat.dtype, t[0].dtype), copy=False), []
+    lo, dlo = _lerp3(vol_flat, f0, steps, t, slopes, a + 1)
+    hi, dhi = _lerp3(vol_flat, f0 + steps[a], steps, t, slopes, a + 1)
+    if not slopes:
+        return _lerp(lo, hi, t[a]), []
+    diff = hi - lo
+    return lo + t[a] * diff, [diff] + [_lerp(l, h, t[a]) for l, h in zip(dlo, dhi)]
 
 
 def warp_tensor(v, u):
@@ -149,48 +140,30 @@ def warp_tensor(v, u):
     if u.shape[2:] != dims:
         raise ValueError(f"warp: dims mismatch {v.shape[2:]} vs {u.shape[2:]}")
     C = v.shape[1]
-    i0, t, inb = _sample_prep(dims, u.data[0])
+    i0, t, inb = _sample_prep(dims, _grid(dims, u.dtype) + u.data[0])
     vol_flat = v.data[0].reshape(C, -1)
-    out = _trilinear_gather(vol_flat, *_corner_flats(i0, dims), t)[None]
+    out = _lerp3(vol_flat, *_cells(i0, t, dims))[0][None]
 
     def bwd(g):
         g0 = g[0]  # (C, D, H, W)
-        f0, offs, (td, th, tw) = _slope_cells(i0, t, dims)
-        sd, sh, sw = 1.0 - td, 1.0 - th, 1.0 - tw
-        idxs = {(a, b, c): (f0 + a * offs[0] + b * offs[1] + c * offs[2]).ravel()
-                for a in (0, 1) for b in (0, 1) for c in (0, 1)}
-        corners = {k: vol_flat[:, idx].reshape((C,) + dims) for k, idx in idxs.items()}
+        f0, steps, tt = _cells(i0, t, dims, one_sided=True)
         if u.requires_grad:
-            wd = (sd, td)
-            wh = (sh, th)
-            ww = (sw, tw)
-            dd = np.zeros(dims, dtype=g0.dtype)
-            dh = np.zeros_like(dd)
-            dw = np.zeros_like(dd)
-            for b in (0, 1):
-                for c in (0, 1):
-                    diff = ((corners[(1, b, c)] - corners[(0, b, c)]) * g0).sum(axis=0)
-                    dd += wh[b] * ww[c] * diff
-            for a in (0, 1):
-                for c in (0, 1):
-                    diff = ((corners[(a, 1, c)] - corners[(a, 0, c)]) * g0).sum(axis=0)
-                    dh += wd[a] * ww[c] * diff
-            for a in (0, 1):
-                for b in (0, 1):
-                    diff = ((corners[(a, b, 1)] - corners[(a, b, 0)]) * g0).sum(axis=0)
-                    dw += wd[a] * wh[b] * diff
-            gu = np.stack([dd * inb[0], dh * inb[1], dw * inb[2]])[None]
-            u.accumulate_grad(gu.astype(u.dtype, copy=False))
+            slopes = _lerp3(vol_flat, f0, steps, tt, slopes=True)[1]
+            gu = np.stack([(s * g0).sum(axis=0) * m for s, m in zip(slopes, inb)])
+            u.accumulate_grad(gu[None].astype(u.dtype, copy=False))
         if v.requires_grad:
-            n = vol_flat.shape[1]
-            gv = np.zeros((C, n), dtype=v.dtype)
-            for a, wda in ((0, sd), (1, td)):
-                for b, wha in ((0, sh), (1, th)):
-                    for c, wwa in ((0, sw), (1, tw)):
-                        idx = idxs[(a, b, c)]
-                        w = (wda * wha * wwa).ravel()
-                        for ch in range(C):
-                            gv[ch] += np.bincount(idx, weights=w * g0[ch].ravel(), minlength=n)
+            # adjoint of the lerps: each of the 8 corners takes its weight times
+            # g; each axis doubles the corners, its upper half one step up
+            idx = np.empty((8,) + dims, np.intp)
+            w = np.empty((8,) + dims, tt[0].dtype)
+            idx[0], w[0] = f0, 1.0
+            for k, step, ta in zip((1, 2, 4), steps, tt):
+                np.add(idx[:k], step, out=idx[k:2 * k])
+                np.multiply(w[:k], ta, out=w[k:2 * k])
+                w[:k] *= 1.0 - ta
+            wg = np.empty(w.shape)  # bincount's float64 weights, one channel at a time
+            gv = np.stack([np.bincount(idx.ravel(), np.multiply(w, gc, out=wg).ravel(),
+                                       minlength=vol_flat.shape[1]) for gc in g0])
             v.accumulate_grad(gv.reshape((1, C) + dims).astype(v.dtype, copy=False))
 
     return ad._result(out, (v, u), bwd, "warp")
@@ -296,30 +269,12 @@ def ndv(u):
 
 
 def sample_field_at_points(u, pts_vox):
-    """Trilinearly sample the field at (N, 3) voxel coordinates."""
+    """Trilinearly sample the field at (N, 3) voxel coordinates, with the
+    warp's kernel: sampling at grid + d gives warp(u, d) bit for bit."""
     ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
     dims = ua.shape[1:]
-    pts = np.asarray(pts_vox, dtype=np.float64)
-    out = np.zeros_like(pts)
-    idx0, frac = [], []
-    for a, s in enumerate(dims):
-        p = np.clip(pts[:, a], 0.0, s - 1.0)
-        base = np.clip(np.floor(p).astype(np.int64), 0, max(s - 2, 0))
-        idx0.append(base)
-        frac.append(p - base)
-    for a_ in (0, 1):
-        for b_ in (0, 1):
-            for c_ in (0, 1):
-                w = (
-                    (frac[0] if a_ else 1 - frac[0])
-                    * (frac[1] if b_ else 1 - frac[1])
-                    * (frac[2] if c_ else 1 - frac[2])
-                )
-                vals = ua[:, np.minimum(idx0[0] + a_, dims[0] - 1),
-                          np.minimum(idx0[1] + b_, dims[1] - 1),
-                          np.minimum(idx0[2] + c_, dims[2] - 1)]
-                out += w[:, None] * vals.T
-    return out
+    i0, t, _ = _sample_prep(dims, np.asarray(pts_vox, dtype=np.float64).T)
+    return _lerp3(ua.reshape(3, -1), *_cells(i0, t, dims))[0].T
 
 
 def warp_labels_array(labels, u):

@@ -202,13 +202,7 @@ def _variational_field(spec, moving, fixed):
     return DisplacementField(u.astype(np.float32))
 
 
-def _ndi_gaussian(a, sigma):
-    """Gaussian smoothing of the last three axes of a; reproduces
-    scipy.ndimage.gaussian_filter(mode="reflect", truncate=4.0) on each (D, H, W)
-    component: radius int(4 sigma + 0.5), half-sample-symmetric border."""
-    taps = tuple(ad._gaussian_taps(int(4.0 * sigma + 0.5), sigma).tolist())
-    return ad._apply_axes(a, ad._axis_matrices(ad._band_matrix, a.shape[-3:],
-                                               [(taps, True)] * 3, a.dtype))
+_ndi_gaussian = ad.gaussian_reflect  # looked up at call time, so tests can replace it
 
 
 def iterate_backbone(spec, moving, fixed, k):

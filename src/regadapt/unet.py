@@ -6,6 +6,7 @@ composed onto or added to the running field. Final conv layers are
 zero-initialized so a fresh cascade reproduces the initialization exactly.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -163,13 +164,7 @@ class RefineCascade:
             "scale_mode": self.scale_mode,
             "scales": list(self.scales),
             "output_scale": self.output_scale,
-            "base_channels": self.config.base_channels,
-            "depth": self.config.depth,
-            "in_channels": self.config.in_channels,
-            "out_channels": self.config.out_channels,
-            "lrelu_slope": self.config.lrelu_slope,
-            "zero_init_final": self.config.zero_init_final,
-            "instance_norm": self.config.instance_norm,
+            **dataclasses.asdict(self.config),
             "seed": self.seed,
         }
 
@@ -244,12 +239,7 @@ def load_cascade(path):
     """Rebuild a cascade from a checkpoint written by save_cascade."""
     arrays, manifest = ad.load_params(path)
     meta = manifest["meta"]
-    cfg = UNet3DConfig(
-        in_channels=meta["in_channels"], out_channels=meta["out_channels"],
-        base_channels=meta["base_channels"], depth=meta["depth"],
-        lrelu_slope=meta["lrelu_slope"], zero_init_final=meta["zero_init_final"],
-        instance_norm=meta["instance_norm"],
-    )
+    cfg = UNet3DConfig(**{f.name: meta[f.name] for f in dataclasses.fields(UNet3DConfig)})
     scales = tuple(meta["scales"])
     nets = [{} for _ in scales]
     for name, a in arrays.items():

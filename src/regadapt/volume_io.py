@@ -13,8 +13,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter as _ndi_gaussian
 
+from .autodiff import gaussian_reflect
 from .fields import DisplacementField, sample_field_at_points, warp
 
 
@@ -271,8 +271,10 @@ def _geometry_labels(center, radii, coords):
 def _phantom_intensity(rng, labels, dims):
     values = np.array([0.05, 0.35, 0.65, 0.95], dtype=np.float32)
     intensity = values[labels]
-    smooth = _ndi_gaussian(intensity, sigma=1.0).astype(np.float32)
-    texture = _ndi_gaussian(rng.standard_normal(dims).astype(np.float32), sigma=1.0)
+    # in float64, returned as float32, like scipy.ndimage.gaussian_filter on float32
+    smooth = gaussian_reflect(intensity.astype(np.float64), 1.0).astype(np.float32)
+    texture = rng.standard_normal(dims).astype(np.float32).astype(np.float64)
+    texture = gaussian_reflect(texture, 1.0).astype(np.float32)
     texture *= np.float32(0.12 / max(float(np.abs(texture).max()), 1e-12))
     return np.clip(smooth + texture, 0.0, 1.2).astype(np.float32)
 
@@ -280,7 +282,7 @@ def _phantom_intensity(rng, labels, dims):
 def _smooth_random_field(rng, dims, max_disp, sigma=3.0):
     u = rng.standard_normal((3,) + tuple(dims)).astype(np.float32)
     for c in range(3):
-        u[c] = _ndi_gaussian(u[c], sigma=sigma)
+        u[c] = gaussian_reflect(u[c].astype(np.float64), sigma)
         peak = float(np.abs(u[c]).max())
         if peak > 0:
             u[c] *= np.float32(max_disp / peak)

@@ -79,6 +79,55 @@ def test_warp_gradient_wrt_field():
     assert max_rel_err(ut.grad, fd) < 1e-3
 
 
+def _vjp_check(op, x0, seed):
+    """Backward of sum(op(x) * r) against central differences, in float64;
+    op is linear in x, so only rounding separates the two."""
+    r = np.random.default_rng(seed).standard_normal(x0.shape)
+
+    def build(xt):
+        return ad.reduce_sum(ad.mul(op(xt), ad.DiffTensor(r)))
+
+    xt = ad.DiffTensor(x0, requires_grad=True)
+    build(xt).backward()
+    fd = fd_gradient(lambda: build(ad.DiffTensor(x0)).item(), x0)
+    assert np.allclose(xt.grad, fd, rtol=1e-8, atol=1e-10)
+
+
+def _past_faces_and_onto_last_planes(dims, seed):
+    """Displacements (1, 3, D, H, W) reaching past every face; the samples on
+    the first plane of the next axis land exactly on the last plane of each axis."""
+    u = np.random.default_rng(seed).uniform(-2.5, 2.5, (1, 3) + dims)
+    grid = np.indices(dims)
+    for a, s in enumerate(dims):
+        m = grid[(a + 1) % 3] == 0
+        u[0, a][m] = s - 1 - grid[a][m]
+    return u
+
+
+def test_warp_gradient_wrt_volume():
+    dims = (4, 5, 3)
+    u = ad.DiffTensor(_past_faces_and_onto_last_planes(dims, 4))
+    v0 = np.random.default_rng(5).standard_normal((1, 2) + dims)
+    _vjp_check(lambda vt: fa.warp_tensor(vt, u), v0, 6)
+
+
+def test_compose_gradient_wrt_prev():
+    dims = (4, 5, 3)
+    resid = ad.DiffTensor(_past_faces_and_onto_last_planes(dims, 7))
+    prev0 = np.random.default_rng(8).standard_normal((1, 3) + dims)
+    _vjp_check(lambda pt: fa.compose(pt, resid), prev0, 9)
+
+
+def test_points_and_warp_share_one_kernel():
+    dims = (5, 6, 4)
+    rng = np.random.default_rng(10)
+    u = rng.standard_normal((3,) + dims)
+    d = _past_faces_and_onto_last_planes(dims, 11)[0]
+    pts = (np.indices(dims) + d).reshape(3, -1).T
+    got = fa.sample_field_at_points(u, pts)
+    assert np.array_equal(got.T.reshape(u.shape), fa.warp(u, d))
+
+
 def test_compose_zero_zero():
     z = DisplacementField.zero((4, 4, 4))
     out = fa.compose(z, z)

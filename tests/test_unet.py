@@ -1,5 +1,6 @@
 """Refiner networks and the multi-scale cascade."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -181,6 +182,18 @@ def test_cascade_checkpoint_round_trip(tmp_path):
         for key in na:
             assert np.array_equal(na[key].data, nb[key].data)
 
+
+
+def test_cascade_checkpoint_keeps_every_config_field(tmp_path):
+    cfg = unet.UNet3DConfig(in_channels=3, out_channels=2, base_channels=4, depth=2,
+                            lrelu_slope=0.1, zero_init_final=False, instance_norm=True)
+    defaults = unet.UNet3DConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(unet.UNet3DConfig))
+    casc = unet.init_cascade(config=cfg, seed=5)
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(casc, path)
+    assert unet.load_cascade(path).config == casc.config
 
 
 def test_cascade_checkpoint_rejects_edited_meta(tmp_path):

@@ -45,7 +45,7 @@ def test_volume_round_trip_random_bytes(tmp_path):
     p2 = tmp_path / "b.vol"
     save_volume(_vol(a), p1)
     save_volume(load_volume(p1), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_zero_volume_round_trip(tmp_path):
@@ -60,7 +60,7 @@ def test_row_major_w_fastest(tmp_path):
     v[0, 0, 1] = 1.5
     path = tmp_path / "o.vol"
     save_volume(_vol(v), path)
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     assert struct.unpack("<f", raw[4:8])[0] == 1.5
 
 
@@ -120,7 +120,7 @@ def test_field_round_trip_component_major(tmp_path):
     u = fa.DisplacementField(rng.standard_normal((3, 3, 4, 5)).astype(np.float32) * 0.1)
     path = tmp_path / "u.vol"
     save_field(u, path)
-    raw = np.frombuffer(open(path, "rb").read(), "<f4")
+    raw = np.frombuffer(path.read_bytes(), "<f4")
     # component-major: first 3*4*5 floats are the d-component block
     assert np.array_equal(raw[: 3 * 4 * 5].reshape(3, 4, 5), u.data[0])
     again = load_field(path)
