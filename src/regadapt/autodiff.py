@@ -284,33 +284,6 @@ def concat_channels(tensors):
     return _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd, "concat")
 
 
-def pad_spatial(x, pads):
-    """Zero-pad spatial dims; pads = ((d0,d1),(h0,h1),(w0,w1))."""
-    (d0, d1), (h0, h1), (w0, w1) = pads
-    out = np.pad(x.data, ((0, 0), (0, 0), (d0, d1), (h0, h1), (w0, w1)))
-    D, H, W = x.shape[2:]
-
-    def bwd(g):
-        x.accumulate_grad(g[:, :, d0:d0 + D, h0:h0 + H, w0:w0 + W])
-
-    return _result(out, (x,), bwd, "pad")
-
-
-def crop_spatial(x, crops):
-    """Crop spatial dims; crops = ((d0,d1),(h0,h1),(w0,w1)) amounts removed per side."""
-    (d0, d1), (h0, h1), (w0, w1) = crops
-    D, H, W = x.shape[2:]
-    sl = (slice(None), slice(None), slice(d0, D - d1), slice(h0, H - h1), slice(w0, W - w1))
-    out = x.data[sl]
-
-    def bwd(g):
-        buf = np.zeros_like(x.data)
-        buf[sl] = g
-        x.accumulate_grad(buf)
-
-    return _result(out.copy(), (x,), bwd, "crop")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -221,6 +221,8 @@ def _load_pairs_dir(path):
 
 def cmd_pretrain(args):
     cfg = _effective_config(args)
+    if not 0 <= args.pretrain_lr < np.inf:
+        raise ValueError(f"--pretrain-lr must be finite and >= 0, got {args.pretrain_lr}")
     if args.data_dir:
         problems = [(m, f) for m, f in _load_pairs_dir(args.data_dir)]
     else:
@@ -257,8 +259,10 @@ def cmd_evaluate(args):
     if args.batch:
         with open(args.batch) as f:
             entries = json.load(f)
-        if not isinstance(entries, list) or not entries:
-            print("evaluate: batch manifest must be a nonempty JSON list", file=sys.stderr)
+        if not (isinstance(entries, list) and entries
+                and all(isinstance(e, dict) and "field" in e for e in entries)):
+            print("evaluate: batch manifest must be a nonempty JSON list of objects, "
+                  "each with a \"field\"", file=sys.stderr)
             return 1
     else:
         if not args.field:

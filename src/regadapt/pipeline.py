@@ -7,6 +7,7 @@ Adam over its own parameters only; phi_0 is never touched.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import tempfile
@@ -18,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields as fa
 from . import losses
+from . import metrics
 from . import unet as un
 from .autodiff import DiffTensor
 from .fields import DisplacementField
@@ -97,8 +99,14 @@ class IOConfig:
     instance_norm: bool = False
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        low = {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
+               "lncc_window": 1, "gate_window": 1, "gate_down": 1}
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if f.type is float and not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val}")
+            if f.name in low and val < low[f.name]:
+                raise ValueError(f"{f.name} must be >= {low[f.name]}, got {val}")
         if not (-1.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (-1, 1), got {self.tau}")
         for w in (self.lncc_window, self.gate_window):
@@ -189,9 +197,9 @@ def _variational_field(spec, moving, fixed):
                 warped = fa.warp_tensor(ia_t, ut)
             except FloatingPointError as e:
                 raise RegistrationAbort(f"variational backbone diverged ({e})") from None
-            loss = ad.add(ad.neg(losses.lncc(warped, ib_t, spec.window)),
-                          ad.scale(losses.diffusion_reg(ut), spec.lam))
-            if not np.isfinite(loss.item()):
+            loss, report = losses.total_loss_graph([warped], ib_t, ut, lam=spec.lam,
+                                                   window=spec.window)
+            if not np.isfinite(report.total):
                 raise RegistrationAbort("variational backbone diverged (non-finite loss)")
             loss.backward()
             g = ut.grad[0]
@@ -315,11 +323,7 @@ def gated_preprocess(moving, fixed, style, gate_window=11, tau=0.4, down=4):
 
 
 def _mean_dice(moving_labels, fixed_labels, field_data):
-    from .metrics import dice  # local import to avoid a module cycle
-
-    warped = fa.warp_labels_array(moving_labels.data, field_data)
-    _, mean = dice(dataclasses.replace(moving_labels, data=warped), fixed_labels)
-    return mean
+    return metrics.dice(metrics.warp_labels(moving_labels, field_data), fixed_labels)[1]
 
 
 def _train_step(cascade, params, state, inputs, cfg, lr, warmup, update=True):

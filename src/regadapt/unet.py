@@ -2,7 +2,9 @@
 
 Three networks predict residual displacement fields at quarter, half, and
 full resolution; each residual is upsampled to the full grid and either
-composed onto or added to the running field. Final conv layers are
+composed onto or added to the running field. Each U-Net runs unpadded on
+its input's own grid: pooling keeps a ragged last block where a dim is odd,
+and each decoder level resizes to its skip's shape. Final conv layers are
 zero-initialized so a fresh cascade reproduces the initialization exactly.
 """
 
@@ -79,8 +81,9 @@ def init_unet_params(cfg, rng):
 def unet_forward(params, warped, target, cfg=None):
     """Predict a 3-channel residual field from (warped source, target).
 
-    Inputs are (1, 1, D, H, W) tensors sharing spatial dims; internally the
-    volume is zero-padded to a multiple of 2^depth and cropped on output.
+    Inputs are (1, 1, D, H, W) tensors sharing spatial dims, as does the
+    output. Nothing is padded: pooling keeps a ragged last block (a dim of 5
+    pools to 3), and each decoder level resizes to its skip's shape.
     """
     cfg = cfg or UNet3DConfig()
     if warped.shape != target.shape:
@@ -88,15 +91,6 @@ def unet_forward(params, warped, target, cfg=None):
     x = ad.concat_channels([warped, target])
     if x.shape[1] != cfg.in_channels:
         raise ValueError(f"unet_forward: got {x.shape[1]} channels, expected {cfg.in_channels}")
-    dims = x.shape[2:]
-    mult = 2 ** cfg.depth
-    pads = []
-    for s in dims:
-        extra = (-s) % mult
-        pads.append((extra // 2, extra - extra // 2))
-    padded = any(p != (0, 0) for p in pads)
-    if padded:
-        x = ad.pad_spatial(x, tuple(pads))
 
     def block(x, prefix):
         for conv in ("conv1", "conv2"):
@@ -118,10 +112,7 @@ def unet_forward(params, warped, target, cfg=None):
         x = ad.concat_channels([x, skip])
         x = block(x, f"dec{i}")
     x = ad.conv3d(x, params["final.w"], stride=1, padding=0)
-    x = ad.bias_add(x, params["final.b"])
-    if padded:
-        x = ad.crop_spatial(x, tuple(pads))
-    return x
+    return ad.bias_add(x, params["final.b"])
 
 
 @dataclass

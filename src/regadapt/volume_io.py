@@ -109,9 +109,15 @@ def _read_manifest(path):
         raise VolumeIOError(f"missing manifest {mpath}")
     with open(mpath) as f:
         m = json.load(f)
+    if not isinstance(m, dict):
+        raise VolumeIOError(f"manifest {mpath} must hold a JSON object")
     for key in ("dims", "spacing", "kind"):
         if key not in m:
             raise VolumeIOError(f"manifest {mpath} lacks {key!r}")
+    for key in ("dims", "spacing"):
+        v = m[key]
+        if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
+            raise VolumeIOError(f"manifest {mpath}: {key!r} must list 3 numbers, got {v!r}")
     dims = tuple(int(d) for d in m["dims"])
     spacing = tuple(float(s) for s in m["spacing"])
     return dims, spacing, m["kind"]

@@ -165,6 +165,48 @@ def test_config_file_type_mismatch_is_input_error(tmp_path, capsys):
     cfg = cli._effective_config(args)
     assert (cfg.lam, cfg.tau) == (1.0, 0.0)
 
+@pytest.mark.parametrize("field, flags, config", [
+    ("base_lr", [], {"base_lr": float("nan")}),
+    ("base_lr", ["--lr", "nan"], None),
+    ("output_scale", [], {"output_scale": float("inf")}),
+    ("lam", [], {"lam": float("nan")}),
+])
+def test_non_finite_setting_is_input_error(tmp_path, capsys, field, flags, config):
+    d = _synth(tmp_path)
+    if config is not None:
+        cfg_path = tmp_path / "conf.json"
+        cfg_path.write_text(json.dumps(config))  # written as NaN / Infinity
+        flags = flags + ["--config", str(cfg_path)]
+    capsys.readouterr()
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--steps", "2", *flags, *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and field in err[0]
+
+
+@pytest.mark.parametrize("manifest", [5, {"dims": 5}, {"spacing": None}])
+def test_malformed_manifest_is_input_error(tmp_path, capsys, manifest):
+    d = _synth(tmp_path)
+    mpath = d / "phantom.vol.json"
+    if isinstance(manifest, dict):
+        manifest = {**json.loads(mpath.read_text()), **manifest}
+    mpath.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--steps", "1", *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "phantom.vol.json" in err[0]
+
+
+@pytest.mark.parametrize("entry", [{"pair_id": "x"}, 5])
+def test_evaluate_malformed_batch_entry_is_input_error(tmp_path, capsys, entry):
+    manifest = tmp_path / "batch.json"
+    manifest.write_text(json.dumps([entry]))
+    rc = cli.main(["evaluate", "--batch", str(manifest)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "field" in err[0]
+
+
 def test_evaluate_single_and_batch(tmp_path):
     d = _synth(tmp_path, dims=(12, 12, 12))
     rep = tmp_path / "ev.json"
@@ -228,6 +270,17 @@ def test_pretrain_empty_dataset_exit_one(tmp_path):
     rc = cli.main(["pretrain", "--data-dir", str(tmp_path / "empty"),
                    "--out", str(tmp_path / "c.ckpt")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-0.0001"])
+def test_pretrain_bad_lr_is_input_error(tmp_path, capsys, monkeypatch, lr):
+    monkeypatch.setattr(cli, "synth_problem", lambda *a, **k: pytest.fail("pair synthesized"))
+    ckpt = tmp_path / "c.ckpt"
+    rc = cli.main(["pretrain", "--synth-pairs", "1", "--dims", "12", "12", "12",
+                   "--pretrain-steps", "1", "--pretrain-lr", lr, "--out", str(ckpt), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "--pretrain-lr" in err[0]
+    assert not ckpt.exists()
 
 
 def test_pretrain_seeded_checkpoint_reproducible(tmp_path):

@@ -234,8 +234,9 @@ def test_numerical_abort_returns_last_finite(prob):
     for net in casc.nets:
         net["enc1.conv1.w"].data[:] = 1e30
         net["final.w"].data[:] = 1e30
-    out, trace = pl.instance_optimize(prob.phantom, prob.fixed,
-                                      DisplacementField.zero(DIMS), casc, cfg)
+    with pytest.warns(RuntimeWarning):
+        out, trace = pl.instance_optimize(prob.phantom, prob.fixed,
+                                          DisplacementField.zero(DIMS), casc, cfg)
     assert trace.error is not None
     assert np.all(np.isfinite(out.data))
 
@@ -251,12 +252,14 @@ def _diverging_cascade(cfg):
 
 def test_non_finite_displacement_names_its_step(prob):
     cfg = small_cfg(steps=3)
-    _, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
-                                    _diverging_cascade(cfg), cfg)
+    with pytest.warns(RuntimeWarning):
+        _, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                        _diverging_cascade(cfg), cfg)
     assert trace.error == "non-finite displacement at step 1"
     assert trace.steps == [] and trace.best_step == -1
-    history = pl.pretrain_refiners([(prob.phantom, prob.fixed)], _diverging_cascade(cfg),
-                                   steps=2, cfg=cfg)
+    with pytest.warns(RuntimeWarning):
+        history = pl.pretrain_refiners([(prob.phantom, prob.fixed)], _diverging_cascade(cfg),
+                                       steps=2, cfg=cfg)
     assert history == [None, None]
 
 
@@ -296,6 +299,11 @@ def test_ioconfig_validation():
         pl.IOConfig(tau=1.5)
     with pytest.raises(ValueError, match="odd"):
         pl.IOConfig(lncc_window=8)
+    for bad in ({"base_lr": np.nan}, {"lam": np.inf}, {"output_scale": -np.inf},
+                {"base_lr": -1e-4}, {"lam": -0.1}, {"warmup": -1}, {"dice_every": -1},
+                {"lncc_window": -1}, {"gate_window": -3}, {"gate_down": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            pl.IOConfig(**bad)
 
 
 def test_register_pair_records_gate(prob):

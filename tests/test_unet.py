@@ -47,6 +47,24 @@ def test_odd_dims_padded_and_cropped():
     assert out.shape == (1, 3, 6, 9, 11)
 
 
+def test_unet_convolves_the_unpadded_grid(monkeypatch):
+    seen = []
+    conv3d = ad.conv3d
+
+    def spy(x, kernel, **kwargs):
+        seen.append(x.shape[2:])
+        return conv3d(x, kernel, **kwargs)
+
+    monkeypatch.setattr(ad, "conv3d", spy)
+    cfg = unet.UNet3DConfig(base_channels=2, depth=3)
+    params = unet.init_unet_params(cfg, np.random.default_rng(0))
+    a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
+    unet.unet_forward(params, a, a, cfg)
+    # encoder at full, pooled (ragged) and twice-pooled dims; decoder back up
+    levels = [(6, 9, 11), (3, 5, 6), (2, 3, 3)]
+    assert seen == [d for d in levels + levels[::-1] for _ in (0, 1)] + [(6, 9, 11)]
+
+
 def test_param_count_closed_form():
     cfg = unet.UNet3DConfig()  # base 32, depth 3
     # independent tally over the stated layer list
@@ -163,6 +181,26 @@ def test_unet_gradcheck_small():
         fd = fd_gradient(lambda: run({k: ad.DiffTensor(p.data) for k, p in f64.items()}).item(),
                          arr, h=1e-6)
         assert max_rel_err(f64[name].grad, fd) < 1e-3, name
+
+
+def test_unet_gradcheck_ragged_pooling():
+    # 5x6x7 at depth 2: every pooling has a ragged tail on some axis
+    cfg = unet.UNet3DConfig(base_channels=2, depth=2, zero_init_final=False)
+    rng = np.random.default_rng(9)
+    params = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
+              for k, p in unet.init_unet_params(cfg, rng).items()}
+    a = rng.standard_normal((1, 1, 5, 6, 7))
+    b = rng.standard_normal((1, 1, 5, 6, 7))
+
+    def run(theta):
+        return ad.reduce_mean(ad.square(
+            unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg)))
+
+    run(params).backward()
+    for name in ("enc1.conv1.w", "enc2.conv2.b", "dec2.conv1.b", "dec1.conv2.w", "final.w"):
+        fd = fd_gradient(lambda: run({k: ad.DiffTensor(p.data) for k, p in params.items()}).item(),
+                         params[name].data, h=1e-6)
+        assert max_rel_err(params[name].grad, fd) < 1e-3, name
 
 
 def test_cascade_checkpoint_round_trip(tmp_path):

@@ -93,6 +93,20 @@ def test_non_finite_payload_rejected(tmp_path):
         load_volume(path)
 
 
+@pytest.mark.parametrize("manifest", [
+    5, [], {"dims": 5}, {"dims": [4, 4]}, {"dims": [4, 4, "4"]}, {"spacing": None},
+    {"spacing": [1.0, True, 1.0]},
+])
+def test_malformed_manifest_rejected(tmp_path, manifest):
+    path = tmp_path / "v.vol"
+    save_volume(_vol(np.zeros((4, 4, 4), np.float32)), path)
+    if isinstance(manifest, dict):
+        manifest = {"dims": [4, 4, 4], "spacing": [1.0, 1.0, 1.0], "kind": "volume", **manifest}
+    (tmp_path / "v.vol.json").write_text(json.dumps(manifest))
+    with pytest.raises(VolumeIOError, match="manifest"):
+        load_volume(path)
+
+
 def test_full_scale_dims_from_manifest(tmp_path):
     dims = (160, 224, 192)
     path = tmp_path / "big.vol"
