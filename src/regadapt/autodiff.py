@@ -18,6 +18,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -653,51 +655,84 @@ def config_hash(meta):
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write_file(path, chunks):
+    """Write bytes-like chunks to path in place, then cut any longer old tail.
+
+    The file is opened without O_TRUNC and written over from offset 0: up-front
+    truncation of a large file can block for a large part of a second on
+    filesystems that discard freed blocks, while writing over its blocks does
+    not. Symlinks, hard links, permissions and umask behave as with
+    open(path, "wb"). The save is not atomic: a crash mid-save leaves the new
+    head over the old tail, where truncate-then-write left a short file.
+    Chunks must be C-contiguous (bytes, or a contiguous ndarray written
+    through the buffer protocol). Returns the number of bytes written. It is
+    private so that a tracer wrapping public functions books each write to
+    the saver that called it.
+    """
+    offset = 0
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                n = os.write(fd, view)
+                view = view[n:]
+                offset += n
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > offset:
+            os.ftruncate(fd, offset)
+    finally:
+        os.close(fd)
+    return offset
+
+
 def save_params(path, params, meta=None):
     """Write little-endian float32 parameter blob + JSON manifest.
 
     params maps name -> DiffTensor or ndarray; meta is recorded and hashed.
+    Both files are written in place by _write_file (not atomic); each
+    parameter is streamed through the buffer protocol, so no second copy of
+    the checkpoint is held.
     """
     path = str(path)
     meta = dict(meta or {})
-    entries = []
+    arrays, entries = [], []
     offset = 0
-    with open(path, "wb") as f:
-        for name in sorted(params):
-            p = params[name]
-            a = p.data if isinstance(p, DiffTensor) else np.asarray(p)
-            raw = np.ascontiguousarray(a, dtype="<f4").tobytes()
-            f.write(raw)
-            entries.append({"name": name, "shape": list(a.shape), "offset": offset})
-            offset += len(raw)
+    for name in sorted(params):
+        p = params[name]
+        a = p.data if isinstance(p, DiffTensor) else np.asarray(p)
+        arrays.append(a)
+        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
+        offset += 4 * a.size
+    _write_file(path, (np.ascontiguousarray(a, dtype="<f4") for a in arrays))
     manifest = {"params": entries, "meta": meta, "config_hash": config_hash(meta)}
-    with open(path + ".json", "w") as f:
-        json.dump(manifest, f, indent=1)
+    _write_file(path + ".json", [json.dumps(manifest, indent=1).encode()])
 
 
 def load_params(path):
     """Inverse of save_params; returns (dict name -> float32 array, manifest).
 
     Raises ValueError when the manifest's config_hash does not match its
-    meta, or the blob is not exactly as long as the entries it lists.
+    meta, or the blob is not exactly as long as the entries it lists. The
+    blob's size is checked before anything is read, and each parameter is
+    read straight into its own array.
     """
     path = str(path)
     with open(path + ".json") as f:
         manifest = json.load(f)
     if manifest.get("config_hash") != config_hash(manifest.get("meta", {})):
         raise ValueError(f"checkpoint {path}: config_hash does not match the manifest meta")
-    with open(path, "rb") as f:
-        blob = f.read()
-    expect = sum(int(np.prod(e["shape"])) * 4 for e in manifest["params"])
-    if len(blob) != expect:
-        raise ValueError(f"checkpoint {path}: payload holds {len(blob)} bytes, "
-                         f"its entries need {expect}")
     out = {}
-    for e in manifest["params"]:
-        shape = tuple(e["shape"])
-        n = int(np.prod(shape)) * 4
-        chunk = blob[e["offset"]:e["offset"] + n]
-        if len(chunk) != n:
-            raise ValueError(f"checkpoint payload truncated for {e['name']!r}")
-        out[e["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        expect = sum(math.prod(e["shape"]) * 4 for e in manifest["params"])
+        if size != expect:
+            raise ValueError(f"checkpoint {path}: payload holds {size} bytes, "
+                             f"its entries need {expect}")
+        for e in manifest["params"]:
+            a = np.empty(tuple(e["shape"]), dtype="<f4")
+            f.seek(e["offset"])
+            if f.readinto(a) != a.nbytes:
+                raise ValueError(f"checkpoint payload truncated for {e['name']!r}")
+            out[e["name"]] = a
     return out, manifest

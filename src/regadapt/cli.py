@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 I/O or usage errors, 2 numerical aborts.
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 from . import metrics as mx
 from . import pipeline as pl
 from . import unet as un
+from .autodiff import _write_file
 from .fields import DisplacementField, ndv
 from .volume_io import (
     VolumeIOError,
@@ -142,6 +144,10 @@ def _write_trace(trace, path, timed):
             f.write(json.dumps(d) + "\n")
 
 
+def _write_json(path, obj):
+    _write_file(path, [json.dumps(obj, indent=1).encode()])
+
+
 def _registration_report(result, cfg, metrics_report=None):
     rep = {
         "gate_fired": result.trace.gate_fired,
@@ -182,8 +188,7 @@ def cmd_register(args):
             landmarks=landmarks, pair_id=os.path.basename(args.moving),
             spacing=fixed.spacing)
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump(_registration_report(result, cfg, metrics_report), f, indent=1)
+        _write_json(args.report, _registration_report(result, cfg, metrics_report))
     if result.trace.error:
         print(f"numerical abort: {result.trace.error}", file=sys.stderr)
         return 2
@@ -223,6 +228,8 @@ def cmd_pretrain(args):
     cfg = _effective_config(args)
     if not 0 <= args.pretrain_lr < np.inf:
         raise ValueError(f"--pretrain-lr must be finite and >= 0, got {args.pretrain_lr}")
+    if args.pretrain_steps < 0:
+        raise ValueError(f"--pretrain-steps must be >= 0, got {args.pretrain_steps}")
     if args.data_dir:
         problems = [(m, f) for m, f in _load_pairs_dir(args.data_dir)]
     else:
@@ -280,17 +287,17 @@ def cmd_evaluate(args):
         reports = [_evaluate_one(e) for e in entries]
     if args.report:
         payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-        with open(args.report, "w") as f:
-            json.dump(payload, f, indent=1)
+        _write_json(args.report, payload)
     if args.csv:
         agg = mx.aggregate_reports(reports)
-        with open(args.csv, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(mx.MetricReport.CSV_FIELDS)
-            for r in reports:
-                w.writerow(r.csv_row())
-            w.writerow([f"aggregate(n={agg['pairs']})", agg["dice"], agg["hd95"],
-                        agg["tre"], agg["ndv"], ""])
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(mx.MetricReport.CSV_FIELDS)
+        for r in reports:
+            w.writerow(r.csv_row())
+        w.writerow([f"aggregate(n={agg['pairs']})", agg["dice"], agg["hd95"],
+                    agg["tre"], agg["ndv"], ""])
+        _write_file(args.csv, [text.getvalue().encode()])
     for r in reports:
         line = f"{r.pair_id}: dice={r.dice_mean} hd95={r.hd95_mean} " \
                f"tre={r.tre_mean} ndv={r.ndv_percent:.4f}%"
@@ -328,8 +335,7 @@ def cmd_baseline(args):
         comparison["pipeline_epe_vox"] = _endpoint_error(result.field, truth)
         comparison["zero_epe_vox"] = _endpoint_error(
             DisplacementField.zero(truth.dims), truth)
-    with open(args.out, "w") as f:
-        json.dump(comparison, f, indent=1)
+    _write_json(args.out, comparison)
     if result.trace.error:
         print(f"numerical abort: {result.trace.error}", file=sys.stderr)
         return 2

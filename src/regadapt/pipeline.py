@@ -412,6 +412,8 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
     """
     if not problems:
         raise ValueError("pretrain_refiners: empty problem list")
+    if steps < 0:
+        raise ValueError(f"pretrain_refiners: steps must be >= 0, got {steps}")
     cfg = cfg or IOConfig()
     backbone = backbone or BackboneSpec(kind="zero")
     params = cascade.named_params()

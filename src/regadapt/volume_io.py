@@ -5,16 +5,25 @@ The `.vol` format is a raw little-endian payload next to a JSON manifest:
 float32 field components in component-major order (all u_d, then u_h,
 then u_w); `<name>.vol.json` holds {"dims", "spacing", "kind"}. Payloads
 round-trip bit-exactly. Arrays are row-major with the W index fastest.
+
+Every save (payloads, manifests, landmark CSVs) goes through
+`autodiff._write_file`: the file is written in place from offset 0 and any
+longer old tail is cut, with no truncation up front. Saves are not atomic:
+a crash mid-save leaves the new head over the old tail, as
+truncate-then-write left a short file. Loads check a payload's size before
+reading it and read it straight into the returned array.
 """
 
 import csv
+import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import gaussian_reflect
+from .autodiff import _write_file, gaussian_reflect
 from .fields import DisplacementField, sample_field_at_points, warp
 
 
@@ -96,11 +105,9 @@ def _manifest_path(path):
     return str(path) + ".json"
 
 
-def _write_payload(path, manifest, raw):
-    with open(path, "wb") as f:
-        f.write(raw)
-    with open(_manifest_path(path), "w") as f:
-        json.dump(manifest, f)
+def _write_payload(path, manifest, data, dtype):
+    _write_file(path, [np.ascontiguousarray(data, dtype=dtype)])
+    _write_file(_manifest_path(path), [json.dumps(manifest).encode()])
 
 
 def _read_manifest(path):
@@ -124,20 +131,24 @@ def _read_manifest(path):
 
 
 def _read_payload(path, dims, dtype, components=1):
-    with open(path, "rb") as f:
-        raw = f.read()
-    n = components * int(np.prod(dims))
+    n = components * math.prod(dims)
     expect = n * np.dtype(dtype).itemsize
-    if len(raw) != expect:
-        raise VolumeIOError(
-            f"{path}: payload holds {len(raw)} bytes, dims {dims} require {expect}"
-        )
-    return np.frombuffer(raw, dtype=dtype).copy()
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != expect:
+            raise VolumeIOError(
+                f"{path}: payload holds {size} bytes, dims {dims} require {expect}"
+            )
+        a = np.empty(n, dtype=dtype)
+        got = f.readinto(a)
+    if got != expect:
+        raise VolumeIOError(f"{path}: payload changed while it was read")
+    return a
 
 
 def save_volume(v, path):
     manifest = {"dims": list(v.dims), "spacing": list(v.spacing), "kind": "volume"}
-    _write_payload(path, manifest, np.ascontiguousarray(v.data, dtype="<f4").tobytes())
+    _write_payload(path, manifest, v.data, "<f4")
 
 
 def load_volume(path):
@@ -152,7 +163,7 @@ def load_volume(path):
 
 def save_labels(lm, path):
     manifest = {"dims": list(lm.dims), "spacing": list(lm.spacing), "kind": "labels"}
-    _write_payload(path, manifest, np.ascontiguousarray(lm.data, dtype="<i4").tobytes())
+    _write_payload(path, manifest, lm.data, "<i4")
 
 
 def load_labels(path):
@@ -166,7 +177,7 @@ def load_labels(path):
 def save_field(u, path, spacing=(1.0, 1.0, 1.0)):
     dims = u.dims
     manifest = {"dims": list(dims), "spacing": list(spacing), "kind": "field"}
-    _write_payload(path, manifest, np.ascontiguousarray(u.data, dtype="<f4").tobytes())
+    _write_payload(path, manifest, u.data, "<f4")
 
 
 def load_field(path):
@@ -180,10 +191,11 @@ def load_field(path):
 
 
 def save_landmarks(lms, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for p, q in zip(lms.moving, lms.fixed):
-            w.writerow([repr(float(x)) for x in (*p, *q)])
+    text = io.StringIO()
+    w = csv.writer(text)
+    for p, q in zip(lms.moving, lms.fixed):
+        w.writerow([repr(float(x)) for x in (*p, *q)])
+    _write_file(path, [text.getvalue().encode()])
 
 
 def load_landmarks(path):
@@ -328,6 +340,8 @@ def synth_problem(seed, dims=(48, 48, 48), max_disp=0.3, contrast="identity",
     if contrast not in CONTRAST_KINDS:
         raise ValueError(f"unknown contrast kind {contrast!r}; choose from {CONTRAST_KINDS}")
     dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"dims must be 3 sizes >= 1, got {dims}")
     rng = np.random.default_rng(int(seed))
     center, radii = _ellipsoid_geometry(rng, dims)
     grid = np.indices(dims).astype(np.float64)

@@ -37,6 +37,13 @@ def test_synth_invalid_max_disp(tmp_path):
     assert rc == 1
 
 
+def test_synth_zero_dim_is_input_error(tmp_path, capsys):
+    rc = cli.main(["synth", "--dims", "0", "5", "5", "--out-dir", str(tmp_path / "x")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "dims" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_inverted_fires_gate(tmp_path):
     from regadapt.losses import modality_gate
 
@@ -280,6 +287,16 @@ def test_pretrain_bad_lr_is_input_error(tmp_path, capsys, monkeypatch, lr):
                    "--pretrain-steps", "1", "--pretrain-lr", lr, "--out", str(ckpt), *SMALL])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1 and len(err) == 1 and "--pretrain-lr" in err[0]
+    assert not ckpt.exists()
+
+
+def test_pretrain_negative_steps_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "synth_problem", lambda *a, **k: pytest.fail("pair synthesized"))
+    ckpt = tmp_path / "c.ckpt"
+    rc = cli.main(["pretrain", "--synth-pairs", "1", "--dims", "12", "12", "12",
+                   "--pretrain-steps", "-1", "--out", str(ckpt), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "--pretrain-steps" in err[0]
     assert not ckpt.exists()
 
 

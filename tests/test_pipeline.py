@@ -343,3 +343,9 @@ def test_pretrain_deterministic(prob):
 def test_pretrain_empty_list():
     with pytest.raises(ValueError, match="empty"):
         pl.pretrain_refiners([], unet.init_cascade(seed=0), steps=1, lr=1e-5)
+
+
+def test_pretrain_negative_steps_rejected(prob):
+    with pytest.raises(ValueError, match="steps"):
+        pl.pretrain_refiners([(prob.phantom, prob.fixed)], small_cfg().make_cascade(),
+                             steps=-1, lr=1e-5)

@@ -201,6 +201,12 @@ def test_synth_max_disp_rejected():
         synth_problem(0, dims=(8, 8, 8), max_disp=0.4)
 
 
+@pytest.mark.parametrize("dims", [(0, 5, 5), (5, -1, 5), (5, 5)])
+def test_synth_bad_dims_rejected(dims):
+    with pytest.raises(ValueError, match="dims"):
+        synth_problem(0, dims=dims)
+
+
 def test_synth_has_three_classes():
     p = synth_problem(4, dims=(20, 20, 20))
     assert p.labels.classes() == [1, 2, 3]
