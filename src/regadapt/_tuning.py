@@ -8,28 +8,22 @@ thresholds keeps large blocks on the heap where they are reused.
 
 import ctypes
 import ctypes.util
-import os
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_THRESHOLD = 1 << 30
 
-_done = False
 
-
-def tune_allocator(threshold: int = 1 << 30) -> bool:
+def tune_allocator() -> bool:
     """Raise glibc malloc thresholds. Safe no-op on non-glibc platforms.
 
-    Set REGADAPT_NO_MALLOC_TUNING=1 to disable.
+    The package calls it once, at import.
     """
-    global _done
-    if _done or os.environ.get("REGADAPT_NO_MALLOC_TUNING"):
-        return False
-    _done = True
     try:
         name = ctypes.util.find_library("c") or "libc.so.6"
         libc = ctypes.CDLL(name)
-        ok = libc.mallopt(_M_MMAP_THRESHOLD, threshold)
-        ok &= libc.mallopt(_M_TRIM_THRESHOLD, threshold)
+        ok = libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD)
+        ok &= libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD)
         return bool(ok)
     except (OSError, AttributeError):
         return False

@@ -569,22 +569,6 @@ def gaussian_filter(x, window):
     return _result(filter_separable(x.data, k1d), (x,), bwd, "gauss")
 
 
-def instance_norm(x, eps=1e-5):
-    """Per-(batch, channel) normalization over the spatial dims."""
-    ax = (2, 3, 4)
-    mu = x.data.mean(axis=ax, keepdims=True, dtype=np.float64)
-    var = ((x.data.astype(np.float64) - mu) ** 2).mean(axis=ax, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    y = (x.data - mu.astype(x.dtype)) * inv
-
-    def bwd(g):
-        gm = g.mean(axis=ax, keepdims=True, dtype=np.float64).astype(x.dtype)
-        gy = (g * y).mean(axis=ax, keepdims=True, dtype=np.float64).astype(x.dtype)
-        x.accumulate_grad(inv * (g - gm - y * gy))
-
-    return _result(y, (x,), bwd, "instance_norm")
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 

@@ -24,6 +24,7 @@ from . import unet as un
 from .autodiff import _write_file
 from .fields import DisplacementField, ndv
 from .volume_io import (
+    CONTRAST_KINDS,
     VolumeIOError,
     load_field,
     load_labels,
@@ -66,11 +67,11 @@ def _add_io_flags(p):
                    help=f"gate downsample factor (default: {d['gate_down']})")
     p.add_argument("--seed", type=int,
                    help="refiner init seed (default: 0, or REGADAPT_SEED)")
-    p.add_argument("--variant", choices=["cascade", "single"],
+    p.add_argument("--variant", choices=un.MODES["variant"],
                    help=f"refiner variant (default: {d['variant']})")
-    p.add_argument("--update-mode", choices=["compose", "add"],
+    p.add_argument("--update-mode", choices=un.MODES["update_mode"],
                    help=f"field update rule (default: {d['update_mode']})")
-    p.add_argument("--scale-mode", choices=["finest_residual", "all_residuals"],
+    p.add_argument("--scale-mode", choices=un.MODES["scale_mode"],
                    help=f"output-scale placement (default: {d['scale_mode']})")
     p.add_argument("--output-scale", type=float,
                    help=f"residual magnitude factor (default: {d['output_scale']})")
@@ -375,8 +376,7 @@ def build_parser():
     s.add_argument("--dims", type=int, nargs=3, default=[48, 48, 48])
     s.add_argument("--max-disp", type=float, default=0.3,
                    help="per-axis displacement cap in voxels, must be < 0.4 (default: 0.3)")
-    s.add_argument("--contrast", choices=["identity", "inverted", "gamma"],
-                   default="identity")
+    s.add_argument("--contrast", choices=CONTRAST_KINDS, default="identity")
     s.add_argument("--out-dir", required=True)
     s.set_defaults(func=cmd_synth)
 

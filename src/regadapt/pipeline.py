@@ -89,14 +89,13 @@ class IOConfig:
     tau: float = 0.4
     gate_down: int = 4
     seed: int = 0
-    variant: str = "cascade"
-    update_mode: str = "compose"
-    scale_mode: str = "finest_residual"
+    variant: str = un.MODES["variant"][0]
+    update_mode: str = un.MODES["update_mode"][0]
+    scale_mode: str = un.MODES["scale_mode"][0]
     output_scale: float = 0.05
     dice_every: int = 5
     base_channels: int = 32
     depth: int = 3
-    instance_norm: bool = False
 
     def __post_init__(self):
         low = {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
@@ -112,10 +111,11 @@ class IOConfig:
         for w in (self.lncc_window, self.gate_window):
             if w % 2 != 1:
                 raise ValueError(f"windows must be odd, got {w}")
+        un.check_modes(self)
+        self.unet_config()  # checks base_channels and depth
 
     def unet_config(self):
-        return un.UNet3DConfig(base_channels=self.base_channels, depth=self.depth,
-                               instance_norm=self.instance_norm)
+        return un.UNet3DConfig(base_channels=self.base_channels, depth=self.depth)
 
     def make_cascade(self):
         return un.init_cascade(config=self.unet_config(), seed=self.seed,
@@ -402,10 +402,10 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
     return out_field, trace
 
 
-def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
-                      backbone=None, cfg=None):
+def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0, cfg=None):
     """Warm up the cascade: one gradient step per pair, cycling a seeded
     shuffle of the problem list at a fixed learning rate (no warmup).
+    phi_0 is the zero field.
 
     problems: list of (moving, fixed) Volume3D pairs. Returns the per-step
     loss history; steps that fail numerically are skipped and recorded as None.
@@ -415,7 +415,6 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
     if steps < 0:
         raise ValueError(f"pretrain_refiners: steps must be >= 0, got {steps}")
     cfg = cfg or IOConfig()
-    backbone = backbone or BackboneSpec(kind="zero")
     params = cascade.named_params()
     state = ad.AdamState()
     order = np.random.default_rng(int(seed)).permutation(len(problems))
@@ -425,7 +424,7 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0,
         idx = int(order[step % len(order)])
         if idx not in cache:
             moving, fixed = problems[idx]
-            cache[idx] = (ad._lift(backbone_predict(backbone, moving, fixed)),
+            cache[idx] = (ad._lift(DisplacementField.zero(moving.dims)),
                           ad._lift(moving), ad._lift(fixed))
         _, report, _, error = _train_step(cascade, params, state, cache[idx], cfg, lr, 0)
         history.append(None if error else report.total)

@@ -20,16 +20,27 @@ from .autodiff import DiffTensor
 
 CASCADE_SCALES = (0.25, 0.5, 1.0)
 
+# the allowed values of each mode setting; the first is the default
+MODES = {
+    "variant": ("cascade", "single"),
+    "update_mode": ("compose", "add"),
+    "scale_mode": ("finest_residual", "all_residuals"),
+}
+
+
+def check_modes(settings):
+    """Raise ValueError unless each MODES attribute of settings is allowed."""
+    for name, allowed in MODES.items():
+        value = getattr(settings, name)
+        if value not in allowed:
+            raise ValueError(f"unknown {name} {value!r} (use {' | '.join(allowed)})")
+
 
 @dataclass(frozen=True)
 class UNet3DConfig:
-    in_channels: int = 2
-    out_channels: int = 3
     base_channels: int = 32
     depth: int = 3
-    lrelu_slope: float = 0.2
     zero_init_final: bool = True
-    instance_norm: bool = False
 
     def __post_init__(self):
         if self.depth < 1 or self.base_channels < 1:
@@ -37,9 +48,13 @@ class UNet3DConfig:
 
 
 def _conv_layers(cfg):
-    """Ordered (name, C_out, C_in, k) for every conv in the network."""
+    """Ordered (name, C_out, C_in, k) for every conv in the network.
+
+    The input is the (warped, target) pair, 2 channels; the output is a
+    3-channel displacement.
+    """
     layers = []
-    c_prev = cfg.in_channels
+    c_prev = 2
     enc_ch = []
     for i in range(1, cfg.depth + 1):
         c = cfg.base_channels * (2 ** (i - 1))
@@ -53,7 +68,7 @@ def _conv_layers(cfg):
         layers.append((f"dec{i}.conv1", c, up_ch + c, 3))
         layers.append((f"dec{i}.conv2", c, c, 3))
         up_ch = c
-    layers.append(("final", cfg.out_channels, up_ch, 1))
+    layers.append(("final", 3, up_ch, 1))
     return layers
 
 
@@ -89,16 +104,12 @@ def unet_forward(params, warped, target, cfg=None):
     if warped.shape != target.shape:
         raise ValueError(f"unet_forward: input dims differ {warped.shape} vs {target.shape}")
     x = ad.concat_channels([warped, target])
-    if x.shape[1] != cfg.in_channels:
-        raise ValueError(f"unet_forward: got {x.shape[1]} channels, expected {cfg.in_channels}")
 
     def block(x, prefix):
         for conv in ("conv1", "conv2"):
             x = ad.conv3d(x, params[f"{prefix}.{conv}.w"], stride=1, padding=1)
             x = ad.bias_add(x, params[f"{prefix}.{conv}.b"])
-            if cfg.instance_norm:
-                x = ad.instance_norm(x)
-            x = ad.leaky_relu(x, cfg.lrelu_slope)
+            x = ad.leaky_relu(x)
         return x
 
     skips = []
@@ -115,6 +126,10 @@ def unet_forward(params, warped, target, cfg=None):
     return ad.bias_add(x, params["final.b"])
 
 
+# the checkpoint meta holds these cascade fields plus every UNet3DConfig field
+_META_KEYS = ("variant", "update_mode", "scale_mode", "scales", "output_scale", "seed")
+
+
 @dataclass
 class RefineCascade:
     """Refiner parameter sets plus the update-rule variant flags."""
@@ -129,12 +144,7 @@ class RefineCascade:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in ("cascade", "single"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.update_mode not in ("compose", "add"):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
-        if self.scale_mode not in ("finest_residual", "all_residuals"):
-            raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
+        check_modes(self)
         expected = 1 if self.variant == "single" else len(CASCADE_SCALES)
         if len(self.nets) != expected:
             raise ValueError(f"{self.variant} variant needs {expected} nets, got {len(self.nets)}")
@@ -149,15 +159,9 @@ class RefineCascade:
         return out
 
     def meta(self):
-        return {
-            "variant": self.variant,
-            "update_mode": self.update_mode,
-            "scale_mode": self.scale_mode,
-            "scales": list(self.scales),
-            "output_scale": self.output_scale,
-            **dataclasses.asdict(self.config),
-            "seed": self.seed,
-        }
+        meta = {k: getattr(self, k) for k in _META_KEYS}
+        meta["scales"] = list(self.scales)
+        return {**meta, **dataclasses.asdict(self.config)}
 
 
 def init_cascade(config=None, seed=0, variant="cascade", update_mode="compose",
@@ -227,18 +231,24 @@ def save_cascade(cascade, path):
 
 
 def load_cascade(path):
-    """Rebuild a cascade from a checkpoint written by save_cascade."""
+    """Rebuild a cascade from a checkpoint written by save_cascade.
+
+    Raises ValueError unless the meta holds exactly the keys a cascade
+    writes, so a checkpoint of a differently configured network never loads.
+    """
     arrays, manifest = ad.load_params(path)
     meta = manifest["meta"]
-    cfg = UNet3DConfig(**{f.name: meta[f.name] for f in dataclasses.fields(UNet3DConfig)})
-    scales = tuple(meta["scales"])
-    nets = [{} for _ in scales]
+    net_keys = [f.name for f in dataclasses.fields(UNet3DConfig)]
+    want = set(_META_KEYS) | set(net_keys)
+    if set(meta) != want:
+        raise ValueError(f"checkpoint {path}: meta keys differ from a cascade's: "
+                         f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
+    cfg = UNet3DConfig(**{k: meta[k] for k in net_keys})
+    kwargs = {k: meta[k] for k in _META_KEYS}
+    kwargs["scales"] = tuple(meta["scales"])
+    nets = [{} for _ in kwargs["scales"]]
     for name, a in arrays.items():
         prefix, rest = name.split(".", 1)
         t = int(prefix[3:]) - 1
         nets[t][rest] = DiffTensor(a, requires_grad=True)
-    return RefineCascade(
-        nets=nets, config=cfg, scales=scales, update_mode=meta["update_mode"],
-        variant=meta["variant"], output_scale=meta["output_scale"],
-        scale_mode=meta["scale_mode"], seed=meta["seed"],
-    )
+    return RefineCascade(nets=nets, config=cfg, **kwargs)

@@ -31,6 +31,17 @@ class VolumeIOError(Exception):
     """Malformed or inconsistent .vol payload/manifest."""
 
 
+def _grid(dims, spacing):
+    """Checked (dims, spacing) tuples: 3 sizes >= 1 and 3 positive spacings."""
+    dims = tuple(int(d) for d in dims)
+    spacing = tuple(float(s) for s in spacing)
+    if len(dims) != 3 or any(d < 1 for d in dims):
+        raise ValueError(f"bad dims {dims}")
+    if len(spacing) != 3 or any(s <= 0 for s in spacing):
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    return dims, spacing
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """Scalar intensity grid with voxel spacing in millimeters."""
@@ -40,12 +51,7 @@ class Volume3D:
     data: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError(f"bad dims {dims}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        dims, spacing = _grid(self.dims, self.spacing)
         a = np.asarray(self.data, dtype=np.float32).reshape(dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -61,8 +67,7 @@ class LabelMap:
     data: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
+        dims, spacing = _grid(self.dims, self.spacing)
         a = np.asarray(self.data).reshape(dims)
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError("label data must be integer")

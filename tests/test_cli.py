@@ -1,14 +1,20 @@
 """CLI subcommands: flags, file outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from regadapt import cli
+from regadapt import losses
+from regadapt import pipeline as pl
 from regadapt import unet
 from regadapt.volume_io import load_field, load_labels, load_volume
+
+from test_pipeline import _poison_gradient_at, _poison_loss_at
 
 SMALL = ["--base-channels", "2", "--depth", "2"]
 
@@ -334,3 +340,144 @@ def test_unknown_backbone_is_input_error(tmp_path):
                    "--fixed", str(d / "fixed.vol"), "--backbone", "warpnet",
                    "--steps", "1", *SMALL])
     assert rc == 1
+
+
+def test_mode_choices_are_the_unet_declaration():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("register", "pretrain", "baseline"):
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        for name, allowed in unet.MODES.items():
+            assert actions[name].choices is allowed
+
+
+@pytest.mark.parametrize("config, word", [
+    ({"variant": "bogus"}, "variant"),
+    ({"scale_mode": "bogus"}, "scale_mode"),
+    ({"instance_norm": False}, "instance_norm"),  # no such setting
+])
+def test_bad_cascade_setting_fails_before_the_gate(tmp_path, capsys, monkeypatch, config, word):
+    d = _synth(tmp_path)
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(losses, "modality_gate", lambda *a, **k: calls.append(a) or False)
+    capsys.readouterr()
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--steps", "1",
+                   "--config", str(cfg_path), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and word in err[0]
+    assert calls == []
+
+
+def test_evaluate_bad_label_spacing_is_input_error(tmp_path, capsys):
+    d = _synth(tmp_path)
+    mpath = d / "labels.vol.json"
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "spacing": [0, 1, 1]}))
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--field", str(d / "true_field.vol"),
+                   "--moving-labels", str(d / "labels.vol"),
+                   "--fixed-labels", str(d / "fixed_labels.vol")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "spacing" in err[0]
+
+
+@pytest.mark.parametrize("poison, step", [(_poison_loss_at, 3), (_poison_gradient_at, 2)])
+def test_register_numerical_abort_exits_two(tmp_path, capsys, monkeypatch, poison, step):
+    d = _synth(tmp_path)
+    report = tmp_path / "rep.json"
+    poison(monkeypatch, step)
+    capsys.readouterr()
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--steps", "4",
+                   "--report", str(report), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("numerical abort: ")
+    assert err[0].endswith(f"at step {step}")
+    assert json.loads(report.read_text())["error"] == err[0][len("numerical abort: "):]
+
+
+def _register_inverted(tmp_path, style, name):
+    d = tmp_path / "inv"
+    if not d.exists():
+        _synth(tmp_path, "inv", seed=2, dims=(16, 16, 16), contrast="inverted")
+    out, rep = tmp_path / f"{name}.vol", tmp_path / f"{name}.json"
+    rc = cli.main(["register", "--moving", str(d / "remapped.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--style", style, "--steps", "2",
+                   "--seed", "0", "--out-field", str(out), "--report", str(rep), *SMALL])
+    assert rc == 0
+    assert json.loads(rep.read_text())["gate_fired"] is True
+    return d, load_field(out)
+
+
+def test_register_monotone_style(tmp_path):
+    d, got = _register_inverted(tmp_path, f"monotone:{tmp_path / 'inv' / 'fixed.vol'}", "mono")
+    moving, fixed = load_volume(d / "remapped.vol"), load_volume(d / "fixed.vol")
+    style = pl.StyleTransferSpec(kind="monotone_remap",
+                                 reference=pl.reference_histogram(fixed))
+    cfg = pl.IOConfig(steps=2, seed=0, base_channels=2, depth=2)
+    want = pl.register_pair(moving, fixed, cfg=cfg, style=style).field
+    assert np.array_equal(got.data, want.data)
+
+
+def test_register_external_style(tmp_path):
+    script, log = tmp_path / "style.py", tmp_path / "style.log"
+    script.write_text(
+        "import shutil, sys\n"
+        "shutil.copy(sys.argv[1], sys.argv[2])\n"
+        "shutil.copy(sys.argv[1] + '.json', sys.argv[2] + '.json')\n"
+        f"open({str(log)!r}, 'a').write('ran\\n')\n"
+    )
+    _register_inverted(tmp_path, f"external:{sys.executable} {script} {{in}} {{out}}", "ext")
+    assert log.read_text() == "ran\n" * 2  # the moving and the fixed volume
+
+
+@pytest.mark.parametrize("backbone", ["variational", "file"])
+def test_register_backbone_gives_phi0(tmp_path, backbone):
+    d = _synth(tmp_path)
+    moving, fixed = load_volume(d / "phantom.vol"), load_volume(d / "fixed.vol")
+    if backbone == "file":
+        flag, want = f"file:{d / 'true_field.vol'}", load_field(d / "true_field.vol")
+    else:
+        flag = "variational"
+        want = pl.backbone_predict(pl.BackboneSpec(kind="variational"), moving, fixed)
+    out = tmp_path / "out.vol"
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--backbone", flag, "--steps", "1",
+                   "--out-field", str(out), *SMALL])
+    assert rc == 0
+    assert np.any(want.data != 0)
+    # one step of a zero-initialized cascade only evaluates: the result is phi_0
+    assert np.array_equal(load_field(out).data, want.data)
+
+
+def test_synth_gamma_keeps_intensity_order(tmp_path):
+    d = _synth(tmp_path, "g", contrast="gamma")
+    ph = load_volume(d / "phantom.vol").data.ravel()
+    rm = load_volume(d / "remapped.vol").data.ravel()
+    assert not np.array_equal(ph, rm)
+    assert np.all(np.diff(rm[np.argsort(ph, kind="stable")]) >= 0)
+    labels = load_labels(d / "labels.vol").data.ravel()
+    classes = np.unique(labels)
+    assert (np.argsort([ph[labels == c].mean() for c in classes]).tolist()
+            == np.argsort([rm[labels == c].mean() for c in classes]).tolist())
+
+
+def test_evaluate_batch_jobs_csv_equals_serial(tmp_path):
+    entries = []
+    for name, seed in (("a", 3), ("b", 4)):
+        d = _synth(tmp_path, name, seed=seed)
+        entries.append({"field": str(d / "true_field.vol"),
+                        "moving_labels": str(d / "labels.vol"),
+                        "fixed_labels": str(d / "fixed_labels.vol"),
+                        "landmarks": str(d / "landmarks.csv"), "pair_id": name})
+    manifest = tmp_path / "batch.json"
+    manifest.write_text(json.dumps(entries))
+    out = {}
+    for jobs in ("1", "2"):
+        out[jobs] = tmp_path / f"jobs{jobs}.csv"
+        rc = cli.main(["evaluate", "--batch", str(manifest), "--jobs", jobs,
+                       "--csv", str(out[jobs])])
+        assert rc == 0
+    assert out["1"].read_bytes() == out["2"].read_bytes()

@@ -1,11 +1,13 @@
 """Backbone, gating, style transfer, instance optimization, pretraining."""
 
 import dataclasses
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from regadapt import autodiff as ad
 from regadapt import fields as fa
 from regadapt import losses
 from regadapt import pipeline as pl
@@ -304,6 +306,66 @@ def test_ioconfig_validation():
                 {"lncc_window": -1}, {"gate_window": -3}, {"gate_down": 0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             pl.IOConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"variant": "bogus"}, "variant"), ({"update_mode": "mul"}, "update_mode"),
+    ({"scale_mode": "none"}, "scale_mode"), ({"base_channels": 0}, "base_channels"),
+    ({"depth": 0}, "depth"),
+])
+def test_ioconfig_rejects_cascade_settings_at_construction(bad, match):
+    with pytest.raises(ValueError, match=match):
+        pl.IOConfig(**bad)
+
+
+def _poison_loss_at(monkeypatch, step):
+    real, calls = losses.total_loss_graph, []
+
+    def total_loss_graph(*args, **kwargs):
+        loss, report = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == step:
+            report = dataclasses.replace(report, total=float("nan"))
+        return loss, report
+
+    monkeypatch.setattr(losses, "total_loss_graph", total_loss_graph)
+
+
+def _poison_gradient_at(monkeypatch, step):
+    real, calls = ad.adam_step, []
+
+    def adam_step(params, state, *args):
+        calls.append(1)
+        if len(calls) == step:
+            p = params[sorted(params)[0]]
+            p.grad = np.full_like(p.data, np.nan)
+        return real(params, state, *args)
+
+    monkeypatch.setattr(ad, "adam_step", adam_step)
+
+
+@pytest.mark.parametrize("poison, step, error, updated", [
+    # the loss fails at step 3, after steps 1 and 2 both updated
+    (_poison_loss_at, 3, r"non-finite loss at step 3", [True, True]),
+    # step 2's gradient fails: its loss is kept, its update is not run
+    (_poison_gradient_at, 2, r"non-finite gradient for parameter '.+' at step 2", [True, False]),
+])
+def test_train_step_failure_aborts_with_best_field(prob, monkeypatch, poison, step, error,
+                                                   updated):
+    # steps 1 and 2 evaluate the same fields as a 2-step run, which only updates at step 1
+    cfg = small_cfg(steps=2)
+    ref_field, ref = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                          cfg.make_cascade(), cfg)
+    cfg = small_cfg(steps=4)
+    poison(monkeypatch, step)
+    out, trace = pl.instance_optimize(prob.phantom, prob.fixed, DisplacementField.zero(DIMS),
+                                      cfg.make_cascade(), cfg)
+    assert re.fullmatch(error, trace.error)
+    assert [s.step for s in trace.steps] == [1, 2]
+    assert [s.total for s in trace.steps] == [s.total for s in ref.steps]
+    assert [s.lr > 0 for s in trace.steps] == updated
+    assert trace.best_step == ref.best_step == 2
+    assert np.array_equal(out.data, ref_field.data) and np.all(np.isfinite(out.data))
 
 
 def test_register_pair_records_gate(prob):

@@ -223,8 +223,7 @@ def test_cascade_checkpoint_round_trip(tmp_path):
 
 
 def test_cascade_checkpoint_keeps_every_config_field(tmp_path):
-    cfg = unet.UNet3DConfig(in_channels=3, out_channels=2, base_channels=4, depth=2,
-                            lrelu_slope=0.1, zero_init_final=False, instance_norm=True)
+    cfg = unet.UNet3DConfig(base_channels=4, depth=2, zero_init_final=False)
     defaults = unet.UNet3DConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(unet.UNet3DConfig))
@@ -245,6 +244,23 @@ def test_cascade_checkpoint_rejects_edited_meta(tmp_path):
         unet.load_cascade(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.update(instance_norm=True),  # a key no cascade writes
+    lambda meta: meta.pop("seed"),
+    lambda meta: meta.pop("zero_init_final"),
+], ids=["extra", "missing-cascade-key", "missing-network-key"])
+def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit):
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    manifest_path = tmp_path / "cascade.ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["meta"])
+    manifest["config_hash"] = ad.config_hash(manifest["meta"])
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="meta keys"):
+        unet.load_cascade(path)
+
+
 def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
     path = tmp_path / "cascade.ckpt"
     unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
@@ -260,3 +276,10 @@ def test_cascade_validation():
     with pytest.raises(ValueError, match="needs"):
         unet.RefineCascade(nets=[{}, {}], config=unet.UNet3DConfig(),
                            scales=(0.5, 1.0), variant="single")
+
+
+@pytest.mark.parametrize("name", ["variant", "update_mode", "scale_mode"])
+def test_cascade_rejects_unknown_mode(name):
+    with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+        unet.RefineCascade(nets=[{}], config=unet.UNet3DConfig(), scales=(1.0,),
+                           **{"variant": "single", name: "bogus"})

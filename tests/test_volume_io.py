@@ -168,6 +168,34 @@ def test_volume_validation():
         Volume3D(dims=(2, 2, 2), spacing=(0.0, 1.0, 1.0), data=np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("dims, spacing, match", [
+    ((0, 2, 2), (1.0, 1.0, 1.0), "dims"),
+    ((2, 2), (1.0, 1.0, 1.0), "dims"),
+    ((2, 2, 2), (0.0, 1.0, 1.0), "spacing"),
+    ((2, 2, 2), (1.0, -1.0, 1.0), "spacing"),
+    ((2, 2, 2), (1.0, 1.0), "spacing"),
+])
+def test_labels_validate_grid_as_volumes_do(dims, spacing, match):
+    data = np.zeros(dims, dtype=np.int32)
+    errors = []
+    for cls in (Volume3D, LabelMap):
+        with pytest.raises(ValueError, match=match) as e:
+            cls(dims=dims, spacing=spacing, data=data)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("spacing", [[0, 1, 1], [1, -2, 1]])
+def test_labels_manifest_bad_spacing_rejected(tmp_path, spacing):
+    path = tmp_path / "l.vol"
+    save_labels(LabelMap(dims=(2, 2, 2), spacing=(1, 1, 1),
+                         data=np.ones((2, 2, 2), dtype=np.int32)), path)
+    (tmp_path / "l.vol.json").write_text(
+        json.dumps({"dims": [2, 2, 2], "spacing": spacing, "kind": "labels"}))
+    with pytest.raises(ValueError, match="spacing"):
+        load_labels(path)
+
+
 # synthetic generator
 
 
