@@ -11,15 +11,12 @@ padded grid, for its forward pass and both gradients, and every gradient
 it returns is C-contiguous. Every separable linear op (resize, average
 pooling, Gaussian filtering) is one cached (n_out, n_in) matrix per spatial
 axis, applied by _apply_axes as one matmul per axis; its backward applies
-the transposed matrices.
+the transposed matrices. The engine does no file I/O: parameter
+checkpoints are read and written by volume_io.
 """
 
 import functools
-import hashlib
-import json
 import math
-import os
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -627,96 +624,3 @@ def adam_step(params, state, base_lr, warmup_steps=0):
         denom *= lr / c1
         p.data -= denom
     return lr
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoints
-
-
-def config_hash(meta):
-    """Stable hash of a JSON-serializable config dict."""
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _write_file(path, chunks):
-    """Write bytes-like chunks to path in place, then cut any longer old tail.
-
-    The file is opened without O_TRUNC and written over from offset 0: up-front
-    truncation of a large file can block for a large part of a second on
-    filesystems that discard freed blocks, while writing over its blocks does
-    not. Symlinks, hard links, permissions and umask behave as with
-    open(path, "wb"). The save is not atomic: a crash mid-save leaves the new
-    head over the old tail, where truncate-then-write left a short file.
-    Chunks must be C-contiguous (bytes, or a contiguous ndarray written
-    through the buffer protocol). Returns the number of bytes written. It is
-    private so that a tracer wrapping public functions books each write to
-    the saver that called it.
-    """
-    offset = 0
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        for chunk in chunks:
-            view = memoryview(chunk).cast("B")
-            while view:
-                n = os.write(fd, view)
-                view = view[n:]
-                offset += n
-        st = os.fstat(fd)
-        if stat.S_ISREG(st.st_mode) and st.st_size > offset:
-            os.ftruncate(fd, offset)
-    finally:
-        os.close(fd)
-    return offset
-
-
-def save_params(path, params, meta=None):
-    """Write little-endian float32 parameter blob + JSON manifest.
-
-    params maps name -> DiffTensor or ndarray; meta is recorded and hashed.
-    Both files are written in place by _write_file (not atomic); each
-    parameter is streamed through the buffer protocol, so no second copy of
-    the checkpoint is held.
-    """
-    path = str(path)
-    meta = dict(meta or {})
-    arrays, entries = [], []
-    offset = 0
-    for name in sorted(params):
-        p = params[name]
-        a = p.data if isinstance(p, DiffTensor) else np.asarray(p)
-        arrays.append(a)
-        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
-        offset += 4 * a.size
-    _write_file(path, (np.ascontiguousarray(a, dtype="<f4") for a in arrays))
-    manifest = {"params": entries, "meta": meta, "config_hash": config_hash(meta)}
-    _write_file(path + ".json", [json.dumps(manifest, indent=1).encode()])
-
-
-def load_params(path):
-    """Inverse of save_params; returns (dict name -> float32 array, manifest).
-
-    Raises ValueError when the manifest's config_hash does not match its
-    meta, or the blob is not exactly as long as the entries it lists. The
-    blob's size is checked before anything is read, and each parameter is
-    read straight into its own array.
-    """
-    path = str(path)
-    with open(path + ".json") as f:
-        manifest = json.load(f)
-    if manifest.get("config_hash") != config_hash(manifest.get("meta", {})):
-        raise ValueError(f"checkpoint {path}: config_hash does not match the manifest meta")
-    out = {}
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        expect = sum(math.prod(e["shape"]) * 4 for e in manifest["params"])
-        if size != expect:
-            raise ValueError(f"checkpoint {path}: payload holds {size} bytes, "
-                             f"its entries need {expect}")
-        for e in manifest["params"]:
-            a = np.empty(tuple(e["shape"]), dtype="<f4")
-            f.seek(e["offset"])
-            if f.readinto(a) != a.nbytes:
-                raise ValueError(f"checkpoint payload truncated for {e['name']!r}")
-            out[e["name"]] = a
-    return out, manifest

@@ -21,11 +21,12 @@ import numpy as np
 from . import metrics as mx
 from . import pipeline as pl
 from . import unet as un
-from .autodiff import _write_file
 from .fields import DisplacementField, ndv
 from .volume_io import (
     CONTRAST_KINDS,
     VolumeIOError,
+    _read_manifest,
+    _write_file,
     load_field,
     load_labels,
     load_landmarks,
@@ -258,8 +259,10 @@ def _evaluate_one(entry):
     ml = load_labels(entry["moving_labels"]) if entry.get("moving_labels") else None
     fl = load_labels(entry["fixed_labels"]) if entry.get("fixed_labels") else None
     lms = load_landmarks(entry["landmarks"]) if entry.get("landmarks") else None
+    # TRE is scored at the spacing the field's manifest records
     return mx.evaluate_pair(field, moving_labels=ml, fixed_labels=fl, landmarks=lms,
-                            pair_id=entry.get("pair_id", entry["field"]))
+                            pair_id=entry.get("pair_id", entry["field"]),
+                            spacing=_read_manifest(entry["field"])[1])
 
 
 def cmd_evaluate(args):
@@ -427,7 +430,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VolumeIOError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except pl.RegistrationAbort as e:

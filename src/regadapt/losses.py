@@ -133,9 +133,6 @@ class LossReport:
     def recompute_total(self):
         return float(sum(-s for s in self.sim) + self.lam * self.reg)
 
-    def to_dict(self):
-        return {"sim": list(self.sim), "reg": self.reg, "lam": self.lam, "total": self.total}
-
 
 def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):
     """Graph form: returns (scalar loss node, LossReport of its float parts)."""

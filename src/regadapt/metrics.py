@@ -124,10 +124,7 @@ def evaluate_pair(field, moving_labels=None, fixed_labels=None, landmarks=None,
         report.dice_mean = mean
         hd = {}
         vals = []
-        for c, d in per_class.items():
-            if d is None:
-                hd[c] = None
-                continue
+        for c in per_class:
             am = warped.data == c
             bm = fixed_labels.data == c
             if not am.any() or not bm.any():

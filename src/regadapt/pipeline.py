@@ -23,7 +23,7 @@ from . import metrics
 from . import unet as un
 from .autodiff import DiffTensor
 from .fields import DisplacementField
-from .volume_io import Volume3D, load_field, save_volume, load_volume
+from .volume_io import Volume3D, VolumeIOError, load_field, save_volume, load_volume
 
 
 class RegistrationAbort(RuntimeError):
@@ -279,6 +279,10 @@ def monotone_remap(volume, reference):
     return dataclasses.replace(volume, data=out)
 
 
+class StyleCommandError(VolumeIOError, RuntimeError):
+    """A failed external style command: an input error, and still a RuntimeError."""
+
+
 def _run_external_style(volume, command):
     with tempfile.TemporaryDirectory(prefix="regadapt_style_") as tmp:
         in_path = os.path.join(tmp, "in.vol")
@@ -287,8 +291,9 @@ def _run_external_style(volume, command):
         argv = [a.replace("{in}", in_path).replace("{out}", out_path) for a in command]
         proc = subprocess.run(argv, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise RuntimeError(
-                f"style command {argv} failed ({proc.returncode}): {proc.stderr.strip()}")
+            stderr = "; ".join(proc.stderr.strip().splitlines())
+            raise StyleCommandError(
+                f"style command {argv} failed with exit status {proc.returncode}: {stderr}")
         out = load_volume(out_path)
     if out.dims != volume.dims:
         raise ValueError(f"style command output dims {out.dims} != input {volume.dims}")

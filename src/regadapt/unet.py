@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields as fa
 from .autodiff import DiffTensor
+from .volume_io import VolumeIOError, load_params, save_params
 
 CASCADE_SCALES = (0.25, 0.5, 1.0)
 
@@ -192,7 +193,6 @@ def cascade_forward(phi0, moving, target, cascade):
     if tg.shape[2:] != full_dims or phi_prev.shape[2:] != full_dims:
         raise ValueError("cascade_forward: moving/target/phi0 dims must match")
     phis, warps = [], []
-    pooled_targets = {}
     for s, net in zip(cascade.scales, cascade.nets):
         factor = int(round(1.0 / s))
         # I_A o phi_{t-1}: the previous stage's loss warp is the same node
@@ -201,9 +201,7 @@ def cascade_forward(phi0, moving, target, cascade):
             if min(d // factor for d in full_dims) < 1:
                 raise ValueError(f"cascade_forward: scale {s} collapses dims {full_dims}")
             warped_s = ad.avg_pool3d(warped_full, factor)
-            if factor not in pooled_targets:
-                pooled_targets[factor] = ad.avg_pool3d(tg, factor)
-            target_s = pooled_targets[factor]
+            target_s = ad.avg_pool3d(tg, factor)
         else:
             warped_s = warped_full
             target_s = tg
@@ -227,22 +225,22 @@ def cascade_forward(phi0, moving, target, cascade):
 
 
 def save_cascade(cascade, path):
-    ad.save_params(path, cascade.named_params(), meta=cascade.meta())
+    save_params(path, cascade.named_params(), meta=cascade.meta())
 
 
 def load_cascade(path):
     """Rebuild a cascade from a checkpoint written by save_cascade.
 
-    Raises ValueError unless the meta holds exactly the keys a cascade
+    Raises VolumeIOError unless the meta holds exactly the keys a cascade
     writes, so a checkpoint of a differently configured network never loads.
     """
-    arrays, manifest = ad.load_params(path)
+    arrays, manifest = load_params(path)
     meta = manifest["meta"]
     net_keys = [f.name for f in dataclasses.fields(UNet3DConfig)]
     want = set(_META_KEYS) | set(net_keys)
     if set(meta) != want:
-        raise ValueError(f"checkpoint {path}: meta keys differ from a cascade's: "
-                         f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
+        raise VolumeIOError(f"checkpoint {path}: meta keys differ from a cascade's: "
+                            f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
     cfg = UNet3DConfig(**{k: meta[k] for k in net_keys})
     kwargs = {k: meta[k] for k in _META_KEYS}
     kwargs["scales"] = tuple(meta["scales"])

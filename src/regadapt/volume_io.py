@@ -1,4 +1,4 @@
-"""Volume, label, landmark, and field file I/O plus synthetic test problems.
+"""Every file the program reads or writes, plus synthetic test problems.
 
 The `.vol` format is a raw little-endian payload next to a JSON manifest:
 `<name>.vol` holds float32 scalars (volumes), int32 labels, or 3*D*H*W
@@ -6,29 +6,33 @@ float32 field components in component-major order (all u_d, then u_h,
 then u_w); `<name>.vol.json` holds {"dims", "spacing", "kind"}. Payloads
 round-trip bit-exactly. Arrays are row-major with the W index fastest.
 
-Every save (payloads, manifests, landmark CSVs) goes through
-`autodiff._write_file`: the file is written in place from offset 0 and any
-longer old tail is cut, with no truncation up front. Saves are not atomic:
-a crash mid-save leaves the new head over the old tail, as
-truncate-then-write left a short file. Loads check a payload's size before
-reading it and read it straight into the returned array.
+A parameter checkpoint is a float32 blob of each parameter back to back in
+name order, next to `<name>.json` with {"params": [{"name", "shape",
+"offset"}], "meta", "config_hash"}.
+
+Every file is written by `_write_file`, and every payload is read by
+`_read_arrays`, which checks the file size against the manifest before it
+allocates and reads straight into the returned arrays. Malformed files
+raise VolumeIOError, a ValueError.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _write_file, gaussian_reflect
+from .autodiff import DiffTensor, gaussian_reflect
 from .fields import DisplacementField, sample_field_at_points, warp
 
 
-class VolumeIOError(Exception):
-    """Malformed or inconsistent .vol payload/manifest."""
+class VolumeIOError(ValueError):
+    """Malformed or inconsistent payload, manifest or checkpoint."""
 
 
 def _grid(dims, spacing):
@@ -103,96 +107,129 @@ class LandmarkSet:
 
 
 # ---------------------------------------------------------------------------
+# the one writer and the one reader
+
+
+def _write_file(path, chunks):
+    """Write C-contiguous chunks over path from offset 0, then cut any old tail.
+
+    There is no O_TRUNC: truncating a large file up front can block for a
+    large part of a second on filesystems that discard freed blocks. Links,
+    permissions and umask behave as with open(path, "wb"). Not atomic: a
+    crash mid-save leaves the new head over the old tail. Returns the bytes
+    written. Private, so a tracer of public functions books each write to
+    the saver that called it.
+    """
+    offset = 0
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                n = os.write(fd, view)
+                view = view[n:]
+                offset += n
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > offset:
+            os.ftruncate(fd, offset)
+    finally:
+        os.close(fd)
+    return offset
+
+
+def _read_arrays(path, dtype, shapes):
+    """Arrays of the given shapes, stored back to back in the payload at path.
+
+    The file must hold exactly their bytes; its size is checked before
+    anything is allocated. One readinto fills one array, and each returned
+    array is a view of it.
+    """
+    counts = [math.prod(s) for s in shapes]
+    expect = sum(counts) * np.dtype(dtype).itemsize
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != expect:
+            raise VolumeIOError(f"{path}: payload holds {size} bytes, its manifest needs {expect}")
+        flat = np.empty(sum(counts), dtype=dtype)
+        got = f.readinto(flat)
+    if got != expect:
+        raise VolumeIOError(f"{path}: payload changed while it was read")
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    return [part.reshape(s) for part, s in zip(parts, shapes)]
+
+
+def _read_json(path, keys):
+    """The JSON object in the file at path; it must hold each of keys."""
+    if not os.path.exists(path):
+        raise VolumeIOError(f"missing manifest {path}")
+    with open(path) as f:
+        m = json.load(f)
+    if not isinstance(m, dict):
+        raise VolumeIOError(f"manifest {path} must hold a JSON object")
+    for key in keys:
+        if key not in m:
+            raise VolumeIOError(f"manifest {path} lacks {key!r}")
+    return m
+
+
+# ---------------------------------------------------------------------------
 # .vol read/write
 
-
-def _manifest_path(path):
-    return str(path) + ".json"
-
-
-def _write_payload(path, manifest, data, dtype):
-    _write_file(path, [np.ascontiguousarray(data, dtype=dtype)])
-    _write_file(_manifest_path(path), [json.dumps(manifest).encode()])
+_DTYPES = {"volume": "<f4", "labels": "<i4", "field": "<f4"}
 
 
 def _read_manifest(path):
-    mpath = _manifest_path(path)
-    if not os.path.exists(mpath):
-        raise VolumeIOError(f"missing manifest {mpath}")
-    with open(mpath) as f:
-        m = json.load(f)
-    if not isinstance(m, dict):
-        raise VolumeIOError(f"manifest {mpath} must hold a JSON object")
-    for key in ("dims", "spacing", "kind"):
-        if key not in m:
-            raise VolumeIOError(f"manifest {mpath} lacks {key!r}")
+    """Checked (dims, spacing, kind) from the manifest of the .vol at path."""
+    mpath = f"{path}.json"
+    m = _read_json(mpath, ("dims", "spacing", "kind"))
     for key in ("dims", "spacing"):
         v = m[key]
         if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
             raise VolumeIOError(f"manifest {mpath}: {key!r} must list 3 numbers, got {v!r}")
-    dims = tuple(int(d) for d in m["dims"])
-    spacing = tuple(float(s) for s in m["spacing"])
-    return dims, spacing, m["kind"]
+    return (*_grid(m["dims"], m["spacing"]), m["kind"])
 
 
-def _read_payload(path, dims, dtype, components=1):
-    n = components * math.prod(dims)
-    expect = n * np.dtype(dtype).itemsize
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != expect:
-            raise VolumeIOError(
-                f"{path}: payload holds {size} bytes, dims {dims} require {expect}"
-            )
-        a = np.empty(n, dtype=dtype)
-        got = f.readinto(a)
-    if got != expect:
-        raise VolumeIOError(f"{path}: payload changed while it was read")
-    return a
+def _save(path, kind, dims, spacing, data):
+    _write_file(path, [np.ascontiguousarray(data, dtype=_DTYPES[kind])])
+    manifest = {"dims": list(dims), "spacing": list(spacing), "kind": kind}
+    _write_file(f"{path}.json", [json.dumps(manifest).encode()])
+
+
+def _load(path, kind):
+    """(payload array, spacing) of a .vol of this kind; a field's array is (3, *dims)."""
+    dims, spacing, got = _read_manifest(path)
+    if got != kind:
+        raise VolumeIOError(f"{path}: expected kind {kind!r}, got {got!r}")
+    (a,) = _read_arrays(path, _DTYPES[kind], [(3, *dims) if kind == "field" else dims])
+    if kind != "labels" and not np.all(np.isfinite(a)):
+        raise VolumeIOError(f"{path}: payload contains non-finite values")
+    return a, spacing
 
 
 def save_volume(v, path):
-    manifest = {"dims": list(v.dims), "spacing": list(v.spacing), "kind": "volume"}
-    _write_payload(path, manifest, v.data, "<f4")
+    _save(path, "volume", v.dims, v.spacing, v.data)
 
 
 def load_volume(path):
-    dims, spacing, kind = _read_manifest(path)
-    if kind != "volume":
-        raise VolumeIOError(f"{path}: expected kind 'volume', got {kind!r}")
-    a = _read_payload(path, dims, "<f4").reshape(dims)
-    if not np.all(np.isfinite(a)):
-        raise VolumeIOError(f"{path}: payload contains non-finite values")
-    return Volume3D(dims=dims, spacing=spacing, data=a)
+    a, spacing = _load(path, "volume")
+    return Volume3D(dims=a.shape, spacing=spacing, data=a)
 
 
 def save_labels(lm, path):
-    manifest = {"dims": list(lm.dims), "spacing": list(lm.spacing), "kind": "labels"}
-    _write_payload(path, manifest, lm.data, "<i4")
+    _save(path, "labels", lm.dims, lm.spacing, lm.data)
 
 
 def load_labels(path):
-    dims, spacing, kind = _read_manifest(path)
-    if kind != "labels":
-        raise VolumeIOError(f"{path}: expected kind 'labels', got {kind!r}")
-    a = _read_payload(path, dims, "<i4").reshape(dims)
-    return LabelMap(dims=dims, spacing=spacing, data=a)
+    a, spacing = _load(path, "labels")
+    return LabelMap(dims=a.shape, spacing=spacing, data=a)
 
 
 def save_field(u, path, spacing=(1.0, 1.0, 1.0)):
-    dims = u.dims
-    manifest = {"dims": list(dims), "spacing": list(spacing), "kind": "field"}
-    _write_payload(path, manifest, u.data, "<f4")
+    _save(path, "field", u.dims, spacing, u.data)
 
 
 def load_field(path):
-    dims, _spacing, kind = _read_manifest(path)
-    if kind != "field":
-        raise VolumeIOError(f"{path}: expected kind 'field', got {kind!r}")
-    a = _read_payload(path, dims, "<f4", components=3).reshape((3,) + dims)
-    if not np.all(np.isfinite(a)):
-        raise VolumeIOError(f"{path}: payload contains non-finite values")
-    return DisplacementField(a)
+    return DisplacementField(_load(path, "field")[0])
 
 
 def save_landmarks(lms, path):
@@ -215,6 +252,65 @@ def load_landmarks(path):
             moving.append(vals[:3])
             fixed.append(vals[3:])
     return LandmarkSet(moving=np.array(moving), fixed=np.array(fixed))
+
+
+# ---------------------------------------------------------------------------
+# parameter checkpoints
+
+
+def config_hash(meta):
+    """Stable hash of a JSON-serializable config dict."""
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def save_params(path, params, meta=None):
+    """Write little-endian float32 parameter blob + JSON manifest.
+
+    params maps name -> DiffTensor or ndarray; meta is recorded and hashed.
+    Both files are written in place by _write_file (not atomic); each
+    parameter is streamed through the buffer protocol, so no second copy of
+    the checkpoint is held.
+    """
+    meta = dict(meta or {})
+    arrays, entries = [], []
+    offset = 0
+    for name in sorted(params):
+        p = params[name]
+        a = p.data if isinstance(p, DiffTensor) else np.asarray(p)
+        arrays.append(a)
+        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
+        offset += 4 * a.size
+    _write_file(path, (np.ascontiguousarray(a, dtype="<f4") for a in arrays))
+    manifest = {"params": entries, "meta": meta, "config_hash": config_hash(meta)}
+    _write_file(f"{path}.json", [json.dumps(manifest, indent=1).encode()])
+
+
+def load_params(path):
+    """Inverse of save_params; returns (dict name -> float32 array, manifest).
+
+    Raises VolumeIOError when the manifest is malformed, its config_hash
+    does not match its meta, its offsets differ from the back-to-back layout
+    save_params writes, or the blob is not exactly as long as its entries.
+    """
+    manifest = _read_json(f"{path}.json", ("params", "meta", "config_hash"))
+    meta, entries = manifest["meta"], manifest["params"]
+    if not isinstance(meta, dict) or manifest["config_hash"] != config_hash(meta):
+        raise VolumeIOError(f"checkpoint {path}: config_hash does not match the manifest meta")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in e["shape"]) for e in entries)):
+        raise VolumeIOError(f"checkpoint {path}: 'params' must list entries with a name "
+                            "and a shape of sizes >= 0")
+    offset = 0
+    for e in entries:
+        if e.get("offset") != offset:
+            raise VolumeIOError(f"checkpoint {path}: {e['name']!r} is at offset "
+                                f"{e.get('offset')!r}, not {offset} where its layout puts it")
+        offset += 4 * math.prod(e["shape"])
+    arrays = _read_arrays(path, "<f4", [tuple(e["shape"]) for e in entries])
+    return {e["name"]: a for e, a in zip(entries, arrays)}, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +360,10 @@ def _apply_contrast(data, kind):
         return data.copy()
     if kind == "inverted":
         return (data.max() - data).astype(np.float32)
-    if kind == "gamma":
-        top = float(data.max())
-        if top <= 0:
-            return data.copy()
-        return ((data / top) ** np.float32(0.6) * top).astype(np.float32)
-    raise ValueError(f"unknown contrast kind {kind!r}; choose from {CONTRAST_KINDS}")
+    top = float(data.max())  # gamma
+    if top <= 0:
+        return data.copy()
+    return ((data / top) ** np.float32(0.6) * top).astype(np.float32)
 
 
 def _ellipsoid_geometry(rng, dims):
@@ -344,9 +438,7 @@ def synth_problem(seed, dims=(48, 48, 48), max_disp=0.3, contrast="identity",
         raise ValueError(f"max_disp must be < 0.4 voxels, got {max_disp}")
     if contrast not in CONTRAST_KINDS:
         raise ValueError(f"unknown contrast kind {contrast!r}; choose from {CONTRAST_KINDS}")
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"dims must be 3 sizes >= 1, got {dims}")
+    dims, spacing = _grid(dims, spacing)
     rng = np.random.default_rng(int(seed))
     center, radii = _ellipsoid_geometry(rng, dims)
     grid = np.indices(dims).astype(np.float64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regadapt import autodiff as ad
+from regadapt import volume_io as vio
 from regadapt.autodiff import DiffTensor
 
 from oracles import (avg_pool_oracle, conv3d_oracle, fd_gradient, max_rel_err,
@@ -349,12 +350,12 @@ def test_param_checkpoint_round_trip(tmp_path):
         "a.b": DiffTensor(np.zeros((1, 2, 1, 1, 1), np.float32)),
     }
     path = tmp_path / "ckpt.bin"
-    ad.save_params(path, params, meta={"depth": 3})
-    loaded, manifest = ad.load_params(path)
+    vio.save_params(path, params, meta={"depth": 3})
+    loaded, manifest = vio.load_params(path)
     for name, p in params.items():
         assert np.array_equal(loaded[name], p.data)
     assert manifest["meta"]["depth"] == 3
-    assert manifest["config_hash"] == ad.config_hash({"depth": 3})
+    assert manifest["config_hash"] == vio.config_hash({"depth": 3})
     offsets = [e["offset"] for e in manifest["params"]]
     assert offsets == sorted(offsets)
 

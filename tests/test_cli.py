@@ -12,7 +12,8 @@ from regadapt import cli
 from regadapt import losses
 from regadapt import pipeline as pl
 from regadapt import unet
-from regadapt.volume_io import load_field, load_labels, load_volume
+from regadapt.volume_io import (load_field, load_labels, load_volume, save_landmarks,
+                               save_volume, synth_problem)
 
 from test_pipeline import _poison_gradient_at, _poison_loss_at
 
@@ -481,3 +482,101 @@ def test_evaluate_batch_jobs_csv_equals_serial(tmp_path):
                        "--csv", str(out[jobs])])
         assert rc == 0
     assert out["1"].read_bytes() == out["2"].read_bytes()
+
+
+def test_failing_external_style_is_one_line_input_error(tmp_path, capsys):
+    d = _synth(tmp_path, "inv", seed=0, contrast="inverted")
+    script = tmp_path / "fail.py"
+    script.write_text("import sys\nsys.stderr.write('first problem\\nsecond problem\\n')\n"
+                      "sys.exit(3)\n")
+    for style, words in (("external:false", ["exit status 1"]),
+                         (f"external:{sys.executable} {script}",
+                          ["exit status 3", "first problem", "second problem"])):
+        capsys.readouterr()
+        rc = cli.main(["register", "--moving", str(d / "remapped.vol"),
+                       "--fixed", str(d / "fixed.vol"), "--style", style, "--steps", "1",
+                       *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert all(word in err for word in words)
+
+
+def test_evaluate_tre_matches_register_at_the_field_spacing(tmp_path):
+    p = synth_problem(3, dims=(12, 12, 12), spacing=(2, 2, 2))
+    save_volume(p.phantom, tmp_path / "moving.vol")
+    save_volume(p.fixed, tmp_path / "fixed.vol")
+    save_landmarks(p.landmarks, tmp_path / "lm.csv")
+    lm, field = ["--landmarks", str(tmp_path / "lm.csv")], str(tmp_path / "u.vol")
+    assert cli.main(["register", "--moving", str(tmp_path / "moving.vol"),
+                     "--fixed", str(tmp_path / "fixed.vol"), *lm, "--steps", "2",
+                     "--out-field", field, "--report", str(tmp_path / "r.json"), *SMALL]) == 0
+    want = json.loads((tmp_path / "r.json").read_text())["metrics"]["tre_mean"]
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"field": field, "landmarks": str(tmp_path / "lm.csv")}]))
+    for how in (["--field", field, *lm], ["--batch", str(batch)]):
+        assert cli.main(["evaluate", *how, "--report", str(tmp_path / "e.json")]) == 0
+        assert json.loads((tmp_path / "e.json").read_text())["tre_mean"] == want
+
+
+def test_pretrain_data_dir_pairs_stems_and_writes_history(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "pairs"
+    data.mkdir()
+    problems = {stem: synth_problem(seed, dims=(8, 8, 8)) for stem, seed in (("a", 1), ("b", 2))}
+    for stem, p in problems.items():
+        save_volume(p.phantom, data / f"{stem}_moving.vol")
+        save_volume(p.fixed, data / f"{stem}_fixed.vol")
+    save_volume(problems["a"].phantom, data / "orphan_moving.vol")  # no orphan_fixed.vol
+    seen = []
+    real = pl.pretrain_refiners
+
+    def pretrain_refiners(pairs, *args, **kwargs):
+        seen.append(pairs)
+        seen.append(real(pairs, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pl, "pretrain_refiners", pretrain_refiners)
+    history = tmp_path / "history.jsonl"
+    assert cli.main(["pretrain", "--data-dir", str(data), "--pretrain-steps", "3",
+                     "--history", str(history), "--out", str(tmp_path / "c.ckpt"), *SMALL]) == 0
+    pairs, totals = seen
+    assert len(pairs) == 2
+    for (moving, fixed), p in zip(pairs, problems.values()):
+        assert np.array_equal(moving.data, p.phantom.data)
+        assert np.array_equal(fixed.data, p.fixed.data)
+    lines = [json.loads(line) for line in history.read_text().splitlines()]
+    assert lines == [{"step": i, "total": t} for i, t in enumerate(totals, start=1)]
+    assert len(lines) == 3
+
+    (tmp_path / "empty").mkdir()
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--data-dir", str(tmp_path / "empty"),
+                     "--out", str(tmp_path / "c2.ckpt")]) == 1
+    assert "no training pairs found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["register", "--moving", "m.vol"],
+    ["register", "--moving", "m.vol", "--fixed", "f.vol", "--variant", "bogus"],
+], ids=["missing-fixed", "bad-variant"])
+def test_usage_error_exits_one(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+def test_evaluate_needs_a_field_or_a_batch(capsys):
+    assert cli.main(["evaluate"]) == 1
+    assert "need --field or --batch" in capsys.readouterr().err
+
+
+def test_baseline_numerical_abort_exits_two_and_writes_out(tmp_path, capsys, monkeypatch):
+    d = _synth(tmp_path)
+    out = tmp_path / "cmp.json"
+    _poison_loss_at(monkeypatch, 3)
+    capsys.readouterr()
+    rc = cli.main(["baseline", "--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol"),
+                   "--strategy", "backbone-only", "--steps", "4", "--out", str(out), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("numerical abort: ")
+    assert json.loads(out.read_text())["pipeline_error"] == err[0][len("numerical abort: "):]

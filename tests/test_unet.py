@@ -10,6 +10,7 @@ from regadapt import autodiff as ad
 from regadapt import fields as fa
 from regadapt import losses
 from regadapt import unet
+from regadapt import volume_io as vio
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import synth_problem
 
@@ -255,7 +256,7 @@ def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit):
     manifest_path = tmp_path / "cascade.ckpt.json"
     manifest = json.loads(manifest_path.read_text())
     edit(manifest["meta"])
-    manifest["config_hash"] = ad.config_hash(manifest["meta"])
+    manifest["config_hash"] = vio.config_hash(manifest["meta"])
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="meta keys"):
         unet.load_cascade(path)
@@ -268,6 +269,47 @@ def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
         f.write(b"\0")
     with pytest.raises(ValueError, match="bytes"):
         unet.load_cascade(path)
+
+def _small_checkpoint(tmp_path):
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    return path, tmp_path / "cascade.ckpt.json"
+
+
+def test_cascade_checkpoint_rejects_a_manifest_that_is_no_object(tmp_path):
+    path, manifest_path = _small_checkpoint(tmp_path)
+    manifest_path.write_text("[]")
+    with pytest.raises(vio.VolumeIOError, match="JSON object"):
+        unet.load_cascade(path)
+
+
+def _drop_first_shape(manifest):
+    del manifest["params"][0]["shape"]
+
+
+def _shift_second_offset(manifest):
+    manifest["params"][1]["offset"] += 4
+
+
+def _swap_first_offsets(manifest):
+    a, b = manifest["params"][:2]
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda manifest: manifest.pop("params"), "lacks 'params'"),
+    (_drop_first_shape, "shape"),
+    (_shift_second_offset, "offset"),
+    (_swap_first_offsets, "offset"),
+], ids=["no-params", "no-shape", "shifted-offset", "swapped-offsets"])
+def test_cascade_checkpoint_rejects_malformed_manifest(tmp_path, edit, words):
+    path, manifest_path = _small_checkpoint(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(vio.VolumeIOError, match=words):
+        unet.load_cascade(path)
+
 
 def test_cascade_validation():
     with pytest.raises(ValueError, match="variant"):

@@ -12,6 +12,7 @@ import pytest
 from regadapt import autodiff as ad
 from regadapt import cli
 from regadapt import unet
+from regadapt import volume_io as vio
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import (
     LabelMap,
@@ -36,10 +37,10 @@ def _field(n, seed=0):
 
 def test_write_file_cuts_the_old_tail(tmp_path):
     path = tmp_path / "blob"
-    assert ad._write_file(path, [b"0123456789", np.arange(3, dtype="<i4")]) == 22
-    assert ad._write_file(path, [b"abc"]) == 3
+    assert vio._write_file(path, [b"0123456789", np.arange(3, dtype="<i4")]) == 22
+    assert vio._write_file(path, [b"abc"]) == 3
     assert path.read_bytes() == b"abc"
-    ad._write_file(path, [])
+    vio._write_file(path, [])
     assert path.read_bytes() == b""
 
 
@@ -48,12 +49,12 @@ def test_write_file_survives_partial_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data)[:7]))
     a = np.arange(50, dtype="<f4").reshape(2, 5, 5)
     path = tmp_path / "blob"
-    ad._write_file(path, [b"head", a])
+    vio._write_file(path, [b"head", a])
     assert path.read_bytes() == b"head" + a.tobytes()
 
 
 def test_write_file_to_a_device_does_not_truncate():
-    assert ad._write_file(os.devnull, [b"discarded"]) == 9
+    assert vio._write_file(os.devnull, [b"discarded"]) == 9
 
 
 def test_shorter_field_and_manifest_overwrite(tmp_path):
@@ -111,12 +112,12 @@ def test_saver_bytes_are_pinned(tmp_path):
 
     ones = np.ones((1, 1, 1, 1, 4), np.float32)
     params = {"b": rng.standard_normal((2, 3)), "a": ad.DiffTensor(ones)}
-    ad.save_params(tmp_path / "p.ckpt", params, meta={"k": 1})
+    vio.save_params(tmp_path / "p.ckpt", params, meta={"k": 1})
     blob = ones.tobytes() + np.ascontiguousarray(params["b"], "<f4").tobytes()
     assert (tmp_path / "p.ckpt").read_bytes() == blob
     manifest = {"params": [{"name": "a", "shape": [1, 1, 1, 1, 4], "offset": 0},
                            {"name": "b", "shape": [2, 3], "offset": 16}],
-                "meta": {"k": 1}, "config_hash": ad.config_hash({"k": 1})}
+                "meta": {"k": 1}, "config_hash": vio.config_hash({"k": 1})}
     assert (tmp_path / "p.ckpt.json").read_text() == json.dumps(manifest, indent=1)
 
 
@@ -219,13 +220,13 @@ def test_huge_manifest_dims_rejected_before_allocating(tmp_path, dims):
 
 def test_oversized_checkpoint_rejected_before_reading(tmp_path):
     path = tmp_path / "c.ckpt"
-    ad.save_params(path, {"w": np.ones(8, np.float32)})
+    vio.save_params(path, {"w": np.ones(8, np.float32)})
     with builtins.open(path, "r+b") as f:
         f.truncate(64 << 20)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="bytes"):
-            ad.load_params(path)
+            vio.load_params(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,9 +237,9 @@ def test_loads_hold_one_copy(tmp_path):
     n = 64
     data = np.random.default_rng(7).standard_normal((n, n, n)).astype(np.float32)
     save_volume(Volume3D(dims=data.shape, spacing=(1, 1, 1), data=data), tmp_path / "v.vol")
-    ad.save_params(tmp_path / "p.ckpt", {"a": data, "b": data[:8]})
+    vio.save_params(tmp_path / "p.ckpt", {"a": data, "b": data[:8]})
     for load in (lambda: load_volume(tmp_path / "v.vol"),
-                 lambda: ad.load_params(tmp_path / "p.ckpt")):
+                 lambda: vio.load_params(tmp_path / "p.ckpt")):
         tracemalloc.start()
         try:
             out = load()
