@@ -81,7 +81,8 @@ def _add_io_flags(p):
     p.add_argument("--base-channels", type=int,
                    help=f"U-Net base channels (default: {d['base_channels']})")
     p.add_argument("--depth", type=int,
-                   help=f"U-Net depth in blocks (default: {d['depth']})")
+                   help=f"U-Net resolution levels; the coarsest is the bottleneck "
+                        f"(default: {d['depth']})")
     p.add_argument("--config", help="JSON config file; flags override its values")
 
 

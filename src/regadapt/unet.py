@@ -2,10 +2,14 @@
 
 Three networks predict residual displacement fields at quarter, half, and
 full resolution; each residual is upsampled to the full grid and either
-composed onto or added to the running field. Each U-Net runs unpadded on
-its input's own grid: pooling keeps a ragged last block where a dim is odd,
-and each decoder level resizes to its skip's shape. Final conv layers are
-zero-initialized so a fresh cascade reproduces the initialization exactly.
+composed onto or added to the running field. Each U-Net has `depth`
+convolved resolution levels: the encoder pools before each level after the
+first, the coarsest level `enc{depth}` is the bottleneck, and decoders
+`dec{depth-1}` ... `dec1` climb back up, so every pooled grid is convolved.
+Each net runs unpadded on its input's own grid: pooling keeps a ragged last
+block where a dim is odd, and each decoder level resizes to its skip's
+shape. Final conv layers are zero-initialized so a fresh cascade reproduces
+the initialization exactly.
 """
 
 import dataclasses
@@ -52,7 +56,10 @@ def _conv_layers(cfg):
     """Ordered (name, C_out, C_in, k) for every conv in the network.
 
     The input is the (warped, target) pair, 2 channels; the output is a
-    3-channel displacement.
+    3-channel displacement. Encoder level i has base_channels * 2**(i-1)
+    channels; enc{depth} is the bottleneck and has no decoder of its own.
+    Decoder level i takes the level below, resized, next to the skip from
+    enc{i}. At depth 1 the net is enc1 and the final projection.
     """
     layers = []
     c_prev = 2
@@ -63,34 +70,39 @@ def _conv_layers(cfg):
         layers.append((f"enc{i}.conv2", c, c, 3))
         enc_ch.append(c)
         c_prev = c
-    up_ch = enc_ch[-1]
-    for i in range(cfg.depth, 0, -1):
+    for i in range(cfg.depth - 1, 0, -1):
         c = enc_ch[i - 1]
-        layers.append((f"dec{i}.conv1", c, up_ch + c, 3))
+        layers.append((f"dec{i}.conv1", c, c_prev + c, 3))
         layers.append((f"dec{i}.conv2", c, c, 3))
-        up_ch = c
-    layers.append(("final", 3, up_ch, 1))
+        c_prev = c
+    layers.append(("final", 3, c_prev, 1))
     return layers
+
+
+def _param_shapes(cfg):
+    """Ordered {name: shape} of every parameter: each conv's `.w`, then its `.b`."""
+    shapes = {}
+    for name, co, ci, k in _conv_layers(cfg):
+        shapes[f"{name}.w"] = (co, ci, k, k, k)
+        shapes[f"{name}.b"] = (1, co, 1, 1, 1)
+    return shapes
 
 
 def unet_param_count(cfg):
     """Closed-form parameter count: sum of C_out*C_in*k^3 + C_out per conv."""
-    return sum(co * ci * k ** 3 + co for _, co, ci, k in _conv_layers(cfg))
+    return sum(math.prod(shape) for shape in _param_shapes(cfg).values())
 
 
 def init_unet_params(cfg, rng):
-    """He-style fan-in init for hidden convs, zeros for the final conv."""
+    """He-style fan-in init for hidden conv weights, zeros for biases and the final conv."""
     params = {}
-    for name, co, ci, k in _conv_layers(cfg):
-        shape = (co, ci, k, k, k)
-        if name == "final" and cfg.zero_init_final:
-            w = np.zeros(shape, dtype=np.float32)
+    for name, shape in _param_shapes(cfg).items():
+        if name.endswith(".b") or (name == "final.w" and cfg.zero_init_final):
+            a = np.zeros(shape, dtype=np.float32)
         else:
-            std = math.sqrt(2.0 / (ci * k ** 3))
-            w = (rng.standard_normal(shape) * std).astype(np.float32)
-        params[f"{name}.w"] = DiffTensor(w, requires_grad=True)
-        params[f"{name}.b"] = DiffTensor(np.zeros((1, co, 1, 1, 1), dtype=np.float32),
-                                         requires_grad=True)
+            std = math.sqrt(2.0 / math.prod(shape[1:]))
+            a = (rng.standard_normal(shape) * std).astype(np.float32)
+        params[name] = DiffTensor(a, requires_grad=True)
     return params
 
 
@@ -98,8 +110,11 @@ def unet_forward(params, warped, target, cfg=None):
     """Predict a 3-channel residual field from (warped source, target).
 
     Inputs are (1, 1, D, H, W) tensors sharing spatial dims, as does the
-    output. Nothing is padded: pooling keeps a ragged last block (a dim of 5
-    pools to 3), and each decoder level resizes to its skip's shape.
+    output. The encoder pools before each level after the first, so
+    `cfg.depth` levels are convolved and every pooled grid is; enc{depth}
+    is the bottleneck. Nothing is padded: pooling keeps a ragged last block
+    (a dim of 5 pools to 3), and each decoder level resizes to its skip's
+    shape.
     """
     cfg = cfg or UNet3DConfig()
     if warped.shape != target.shape:
@@ -115,10 +130,11 @@ def unet_forward(params, warped, target, cfg=None):
 
     skips = []
     for i in range(1, cfg.depth + 1):
+        if skips:
+            x = ad.avg_pool3d(x, 2)
         x = block(x, f"enc{i}")
         skips.append(x)
-        x = ad.avg_pool3d(x, 2)
-    for i in range(cfg.depth, 0, -1):
+    for i in range(cfg.depth - 1, 0, -1):
         skip = skips[i - 1]
         x = ad.trilinear_resize(x, target=skip.shape[2:])
         x = ad.concat_channels([x, skip])
@@ -232,7 +248,9 @@ def load_cascade(path):
     """Rebuild a cascade from a checkpoint written by save_cascade.
 
     Raises VolumeIOError unless the meta holds exactly the keys a cascade
-    writes, so a checkpoint of a differently configured network never loads.
+    writes and the parameters are exactly those, with the shapes, that its
+    nets have under that meta, so a checkpoint of a differently configured
+    or differently built network never loads.
     """
     arrays, manifest = load_params(path)
     meta = manifest["meta"]
@@ -244,9 +262,18 @@ def load_cascade(path):
     cfg = UNet3DConfig(**{k: meta[k] for k in net_keys})
     kwargs = {k: meta[k] for k in _META_KEYS}
     kwargs["scales"] = tuple(meta["scales"])
-    nets = [{} for _ in kwargs["scales"]]
+    shapes = _param_shapes(cfg)
+    net_ids = range(1, len(kwargs["scales"]) + 1)
+    want = {f"net{t}.{name}": shape for t in net_ids for name, shape in shapes.items()}
     for name, a in arrays.items():
-        prefix, rest = name.split(".", 1)
-        t = int(prefix[3:]) - 1
-        nets[t][rest] = DiffTensor(a, requires_grad=True)
+        if name not in want:
+            raise VolumeIOError(f"checkpoint {path}: {name!r} is no parameter of this cascade")
+        if a.shape != want[name]:
+            raise VolumeIOError(f"checkpoint {path}: {name!r} has shape {list(a.shape)}, "
+                                f"this cascade needs {list(want[name])}")
+    for name in want:
+        if name not in arrays:
+            raise VolumeIOError(f"checkpoint {path}: lacks parameter {name!r}")
+    nets = [{name: DiffTensor(arrays[f"net{t}.{name}"], requires_grad=True) for name in shapes}
+            for t in net_ids]
     return RefineCascade(nets=nets, config=cfg, **kwargs)

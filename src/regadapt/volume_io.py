@@ -162,8 +162,11 @@ def _read_json(path, keys):
     """The JSON object in the file at path; it must hold each of keys."""
     if not os.path.exists(path):
         raise VolumeIOError(f"missing manifest {path}")
-    with open(path) as f:
-        m = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            m = json.load(f)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
+        raise VolumeIOError(f"manifest {path} is not valid JSON: {e}") from None
     if not isinstance(m, dict):
         raise VolumeIOError(f"manifest {path} must hold a JSON object")
     for key in keys:

@@ -212,6 +212,17 @@ def test_malformed_manifest_is_input_error(tmp_path, capsys, manifest):
     assert rc == 1 and len(err) == 1 and "phantom.vol.json" in err[0]
 
 
+def test_manifest_that_is_not_json_is_one_line_input_error(tmp_path, capsys):
+    d = _synth(tmp_path)
+    (d / "fixed.vol.json").write_text("{")
+    capsys.readouterr()
+    rc = cli.main(["register", "--moving", str(d / "phantom.vol"),
+                   "--fixed", str(d / "fixed.vol"), "--steps", "1", *SMALL])
+    err = capsys.readouterr().err
+    assert rc == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "fixed.vol.json is not valid JSON" in err
+
+
 @pytest.mark.parametrize("entry", [{"pair_id": "x"}, 5])
 def test_evaluate_malformed_batch_entry_is_input_error(tmp_path, capsys, entry):
     manifest = tmp_path / "batch.json"

@@ -377,6 +377,16 @@ def test_register_pair_records_gate(prob):
     assert np.all(res.field.data == 0)
 
 
+def test_register_pair_at_depth_one_lowers_the_loss():
+    # a one-level refiner (enc1 + final, no decoder) on a 12^3 pair
+    p = synth_problem(3, dims=(12, 12, 12))
+    res = pl.register_pair(p.phantom, p.fixed, cfg=pl.IOConfig(depth=1, steps=2))
+    first, last = res.trace.steps
+    assert first.lr > 0 and last.total < first.total
+    assert res.trace.best_step == last.step == 2 and res.trace.final_ndv == 0.0
+    assert np.all(np.isfinite(res.field.data)) and np.any(res.field.data != 0)
+
+
 # pretraining
 
 

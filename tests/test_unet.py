@@ -61,9 +61,10 @@ def test_unet_convolves_the_unpadded_grid(monkeypatch):
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
     unet.unet_forward(params, a, a, cfg)
-    # encoder at full, pooled (ragged) and twice-pooled dims; decoder back up
-    levels = [(6, 9, 11), (3, 5, 6), (2, 3, 3)]
-    assert seen == [d for d in levels + levels[::-1] for _ in (0, 1)] + [(6, 9, 11)]
+    # encoder at full, pooled (ragged) and twice-pooled dims, the last being
+    # the bottleneck; decoder back up from the level above it, then final
+    assert seen == ([(6, 9, 11)] * 2 + [(3, 5, 6)] * 2 + [(2, 3, 3)] * 2
+                    + [(3, 5, 6)] * 2 + [(6, 9, 11)] * 2 + [(6, 9, 11)])
 
 
 def test_param_count_closed_form():
@@ -72,13 +73,24 @@ def test_param_count_closed_form():
     convs = [
         (32, 2, 3), (32, 32, 3),        # enc1
         (64, 32, 3), (64, 64, 3),       # enc2
-        (128, 64, 3), (128, 128, 3),    # enc3
-        (128, 256, 3), (128, 128, 3),   # dec3 after skip concat
-        (64, 192, 3), (64, 64, 3),      # dec2
+        (128, 64, 3), (128, 128, 3),    # enc3, the bottleneck
+        (64, 192, 3), (64, 64, 3),      # dec2 after skip concat
         (32, 96, 3), (32, 32, 3),       # dec1
         (3, 32, 1),                     # final projection
     ]
     expect = sum(co * ci * k ** 3 + co for co, ci, k in convs)
+    assert expect == 1_412_515
+    assert unet.unet_param_count(cfg) == expect
+    params = unet.init_unet_params(cfg, np.random.default_rng(0))
+    assert sum(p.data.size for p in params.values()) == expect
+
+
+def test_depth_one_is_one_level_and_the_final_projection():
+    cfg = unet.UNet3DConfig(depth=1)  # base 32, no pooling, no decoder
+    assert unet._conv_layers(cfg) == [
+        ("enc1.conv1", 32, 2, 3), ("enc1.conv2", 32, 32, 3), ("final", 3, 32, 1)]
+    expect = (32 * 2 * 27 + 32) + (32 * 32 * 27 + 32) + (3 * 32 + 3)
+    assert expect == 29_539
     assert unet.unet_param_count(cfg) == expect
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     assert sum(p.data.size for p in params.values()) == expect
@@ -198,7 +210,29 @@ def test_unet_gradcheck_ragged_pooling():
             unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg)))
 
     run(params).backward()
-    for name in ("enc1.conv1.w", "enc2.conv2.b", "dec2.conv1.b", "dec1.conv2.w", "final.w"):
+    for name in ("enc1.conv1.w", "enc2.conv2.b", "dec1.conv1.b", "dec1.conv2.w", "final.w"):
+        fd = fd_gradient(lambda: run({k: ad.DiffTensor(p.data) for k, p in params.items()}).item(),
+                         params[name].data, h=1e-6)
+        assert max_rel_err(params[name].grad, fd) < 1e-3, name
+
+
+def test_unet_gradcheck_depth_one():
+    # a single level: no pooling, no skip, no resize
+    cfg = unet.UNet3DConfig(base_channels=2, depth=1, zero_init_final=False)
+    rng = np.random.default_rng(10)
+    params = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
+              for k, p in unet.init_unet_params(cfg, rng).items()}
+    assert sorted(params) == ["enc1.conv1.b", "enc1.conv1.w", "enc1.conv2.b", "enc1.conv2.w",
+                              "final.b", "final.w"]
+    a = rng.standard_normal((1, 1, 5, 6, 7))
+    b = rng.standard_normal((1, 1, 5, 6, 7))
+
+    def run(theta):
+        return ad.reduce_mean(ad.square(
+            unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg)))
+
+    run(params).backward()
+    for name in params:
         fd = fd_gradient(lambda: run({k: ad.DiffTensor(p.data) for k, p in params.items()}).item(),
                          params[name].data, h=1e-6)
         assert max_rel_err(params[name].grad, fd) < 1e-3, name
@@ -308,6 +342,65 @@ def test_cascade_checkpoint_rejects_malformed_manifest(tmp_path, edit, words):
     edit(manifest)
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(vio.VolumeIOError, match=words):
+        unet.load_cascade(path)
+
+
+def _rewrite_params(path, edit):
+    """Re-save the checkpoint at path with its parameters edited in place."""
+    arrays, manifest = vio.load_params(path)
+    arrays = dict(arrays)
+    edit(arrays)
+    vio.save_params(path, arrays, meta=manifest["meta"])
+
+
+def _add_parent_coarsest_level(arrays):
+    # the layout before enc{depth} became the bottleneck: a dec{depth} level
+    # that took the pooled enc3 output next to enc3's own, 2*8 -> 8 channels
+    for t in (1, 2, 3):
+        arrays[f"net{t}.dec3.conv1.w"] = np.zeros((8, 16, 3, 3, 3), np.float32)
+        arrays[f"net{t}.dec3.conv1.b"] = np.zeros((1, 8, 1, 1, 1), np.float32)
+        arrays[f"net{t}.dec3.conv2.w"] = np.zeros((8, 8, 3, 3, 3), np.float32)
+        arrays[f"net{t}.dec3.conv2.b"] = np.zeros((1, 8, 1, 1, 1), np.float32)
+
+
+def _rename(arrays):
+    arrays["net1.dec1.convX.b"] = arrays.pop("net1.dec1.conv1.b")
+
+
+def _reshape(arrays):
+    arrays["net2.dec2.conv1.w"] = np.zeros((4, 7, 3, 3, 3), np.float32)
+
+
+def _add_fourth_net(arrays):
+    arrays["net4.enc1.conv1.b"] = arrays["net3.enc1.conv1.b"].copy()
+
+
+def _drop(arrays):
+    del arrays["net3.final.b"]
+
+
+@pytest.mark.parametrize("edit, words", [
+    (_add_parent_coarsest_level, "'net1.dec3.conv1.b' is no parameter"),
+    (_rename, "'net1.dec1.convX.b' is no parameter"),
+    (_reshape, r"'net2.dec2.conv1.w' has shape \[4, 7, 3, 3, 3\], this cascade needs "
+               r"\[4, 12, 3, 3, 3\]"),
+    (_add_fourth_net, "'net4.enc1.conv1.b' is no parameter"),
+    (_drop, "lacks parameter 'net3.final.b'"),
+], ids=["parent-coarsest-level", "renamed", "reshaped", "fourth-net", "missing"])
+def test_cascade_checkpoint_rejects_parameters_the_cascade_lacks(tmp_path, edit, words):
+    path = tmp_path / "cascade.ckpt"
+    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=3)),
+                      path)
+    _rewrite_params(path, edit)
+    with pytest.raises(vio.VolumeIOError, match=words) as err:
+        unet.load_cascade(path)
+    assert len(str(err.value).splitlines()) == 1
+
+
+def test_checkpoint_manifest_that_is_not_json_names_its_path(tmp_path):
+    path, manifest_path = _small_checkpoint(tmp_path)
+    manifest_path.write_text('{"params": [')
+    with pytest.raises(vio.VolumeIOError, match="cascade.ckpt.json is not valid JSON"):
         unet.load_cascade(path)
 
 

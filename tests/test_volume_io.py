@@ -107,6 +107,15 @@ def test_malformed_manifest_rejected(tmp_path, manifest):
         load_volume(path)
 
 
+@pytest.mark.parametrize("text", ["{", "", "\xff"], ids=["truncated", "empty", "not-utf8"])
+def test_manifest_that_is_not_json_names_its_path(tmp_path, text):
+    path = tmp_path / "v.vol"
+    save_volume(_vol(np.zeros((4, 4, 4), np.float32)), path)
+    (tmp_path / "v.vol.json").write_bytes(text.encode("latin-1"))
+    with pytest.raises(VolumeIOError, match="v.vol.json is not valid JSON"):
+        load_volume(path)
+
+
 def test_full_scale_dims_from_manifest(tmp_path):
     dims = (160, 224, 192)
     path = tmp_path / "big.vol"
