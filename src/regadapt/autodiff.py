@@ -3,15 +3,20 @@
 Tensors are (N, C, D, H, W) numpy arrays. Graphs are built define-by-run:
 each op returns a new DiffTensor whose closure knows how to push gradients
 to its parents, and backward() replays the closures in reverse topological
-order. There is no broadcasting; binary ops require exactly matching
-shapes. Storage is float32 by default (float64 supported for gradient
-checking); reductions and the conv3d kernel-gradient accumulation run in
-float64. conv3d has one kernel path, GEMMs of row shifts on the flattened
-padded grid, for its forward pass and both gradients, and every gradient
-it returns is C-contiguous. Every separable linear op (resize, average
-pooling, Gaussian filtering) is one cached (n_out, n_in) matrix per spatial
-axis, applied by _apply_axes as one matmul per axis; its backward applies
-the transposed matrices. The engine does no file I/O: parameter
+order. backward() consumes the graph: once a node's closure has run, the
+node drops its gradient, closure and parents, so what backward has used is
+freed as it goes. Leaves (parameters, and inputs made with requires_grad)
+keep their gradients. Each graph gets one backward() call; a second one
+raises RuntimeError. There is no broadcasting; binary ops require exactly
+matching shapes. Storage is float32 by default (float64 supported for
+gradient checking); reductions and the conv3d kernel-gradient accumulation
+run in float64. conv3d has one kernel path, GEMMs of row shifts on the
+flattened padded grid, for its forward pass and both gradients, and every
+gradient it returns is C-contiguous; it keeps no padded copy in the graph
+and rebuilds it for the kernel gradient. Every separable linear op (resize,
+average pooling, Gaussian filtering) is one cached (n_out, n_in) matrix per
+spatial axis, applied by _apply_axes as one matmul per axis; its backward
+applies the transposed matrices. The engine does no file I/O: parameter
 checkpoints are read and written by volume_io.
 """
 
@@ -81,7 +86,13 @@ class DiffTensor:
         self.grad = None
 
     def backward(self):
-        """Reverse-topological gradient accumulation from this scalar node."""
+        """Reverse-topological gradient accumulation from this scalar node.
+
+        Consumes the graph: each node is popped in reverse topological order,
+        and once its closure has run it drops its gradient, closure and
+        parents. Leaves keep their gradients. A graph gets one backward()
+        call; another one on any of its nodes raises RuntimeError.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss node")
         topo, visited, stack = [], set(), [(self, False)]
@@ -98,12 +109,21 @@ class DiffTensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g):
+    """The backward rule a node keeps once backward() has consumed its graph."""
+    raise RuntimeError("backward() through a graph an earlier backward() consumed; build it again")
 
 
 def _result(data, parents, backward, op):
@@ -227,26 +247,52 @@ def add_scalar(x, c):
     return _result(x.data + np.asarray(c, dtype=x.dtype), (x,), bwd, "add_scalar")
 
 
-def leaky_relu(x, slope=0.2):
-    pos = x.data >= 0
-    out = np.where(pos, x.data, x.data * x.dtype.type(slope))
+def leaky_relu(x, slope=0.2, bias=None):
+    """leaky(x + bias) into one output array; bias is an optional per-channel
+    (1, C, 1, 1, 1) tensor, as for bias_add. The backward reads the sign of
+    the output, which slope > 0 preserves, so no mask is kept."""
+    if slope <= 0:
+        raise ValueError(f"leaky_relu: slope must be positive, got {slope}")
+    s = x.dtype.type(slope)
+    parents = (x,)
+    if bias is None:
+        out = x.data.copy()
+    else:
+        _check_bias(x, bias, "leaky_relu")
+        out = x.data + bias.data
+        parents = (x, bias)
+    np.multiply(out, s, out=out, where=out < 0)
 
     def bwd(g):
-        x.accumulate_grad(np.where(pos, g, g * x.dtype.type(slope)))
+        gy = g.copy()
+        np.multiply(gy, s, out=gy, where=out < 0)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_channel_sum(gy, bias.dtype), own=True)
+        if x.requires_grad:
+            x.accumulate_grad(gy, own=True)
 
-    return _result(out, (x,), bwd, "leaky_relu")
+    return _result(out, parents, bwd, "leaky_relu")
+
+
+def _check_bias(x, b, op):
+    if b.shape != (1, x.shape[1], 1, 1, 1):
+        raise ValueError(f"{op}: bias shape {b.shape} incompatible with input {x.shape}")
+
+
+def _channel_sum(g, dtype):
+    """Per-channel float64 sum of g, shaped (1, C, 1, 1, 1) in dtype."""
+    return g.sum(axis=(0, 2, 3, 4), keepdims=True, dtype=np.float64).astype(dtype)
 
 
 def bias_add(x, b):
     """Add a per-channel bias of shape (1, C, 1, 1, 1)."""
-    if b.shape != (1, x.shape[1], 1, 1, 1):
-        raise ValueError(f"bias_add: bias shape {b.shape} incompatible with input {x.shape}")
+    _check_bias(x, b, "bias_add")
 
     def bwd(g):
         if x.requires_grad:
             x.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3, 4), keepdims=True, dtype=np.float64).astype(b.dtype))
+            b.accumulate_grad(_channel_sum(g, b.dtype), own=True)
 
     return _result(x.data + b.data, (x, b), bwd, "bias_add")
 
@@ -310,15 +356,18 @@ def reduce_mean(x):
 # convolution
 
 
-def _flat_grid(xp, k):
-    """Padded grid xp (N, C, Dp, Hp, Wp) as channels-last rows (N, Dp*Hp*Wp + tail, C):
-    kernel offset (i, j, l) is the row shift i*Hp*Wp + j*Wp + l, and the zero
-    tail holds the rows the last offsets read past the grid."""
-    N, C, Dp, Hp, Wp = xp.shape
+def _flat_grid(a, grid, p, k, s=1):
+    """Channels-last rows (N, Dp*Hp*Wp + tail, C) of the zero grid (Dp, Hp, Wp)
+    that holds a (N, C, D, H, W) at voxels p + s*i along each axis: kernel
+    offset (i, j, l) is the row shift i*Hp*Wp + j*Wp + l, and the zero tail
+    holds the rows the last offsets read past the grid. One copy of a into a
+    zeroed buffer."""
+    N, C = a.shape[:2]
+    Dp, Hp, Wp = grid
     n = Dp * Hp * Wp
-    flat = np.empty((N, n + (k - 1) * (Wp + 1), C), dtype=xp.dtype)
-    flat[:, n:] = 0
-    flat[:, :n].reshape(N, Dp, Hp, Wp, C)[...] = xp.transpose(0, 2, 3, 4, 1)
+    flat = np.zeros((N, n + (k - 1) * (Wp + 1), C), dtype=a.dtype)
+    box = tuple(slice(p, p + s * (d - 1) + 1, s) for d in a.shape[2:])
+    flat[:, :n].reshape(N, Dp, Hp, Wp, C)[(slice(None),) + box] = a.transpose(0, 2, 3, 4, 1)
     return flat
 
 
@@ -365,6 +414,8 @@ def conv3d(x, kernel, stride=1, padding=0):
     k*C_in. The input gradient runs the same _correlate on the zero-bordered
     output gradient with the flipped, transposed kernel; the kernel gradient
     multiplies the same wide tiles with the output gradient, in float64.
+    The graph keeps the input node, not its padded copy: the backward
+    rebuilds the padded operand, and only when the kernel needs a gradient.
     stride > 1 subsamples the stride-1 result; its backward scatters g onto
     the stride-1 grid. Differentiable wrt both arguments.
     """
@@ -382,12 +433,9 @@ def conv3d(x, kernel, stride=1, padding=0):
         raise ValueError(f"conv3d: padding {padding} must be below the kernel size {k}")
     dt, s, p = x.dtype, stride, padding
 
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + ((p, p),) * 3)
-    grid = xp.shape[2:]
-    flat = _flat_grid(xp, k)
-    del xp
+    grid = (D + 2 * p, H + 2 * p, W + 2 * p)
     w = kernel.data.transpose(2, 3, 4, 1, 0).reshape(k * k, k * Ci, Co)
-    ocl = _correlate(flat, grid, w, k)
+    ocl = _correlate(_flat_grid(x.data, grid, p, k), grid, w, k)
     D1, H1, W1 = ocl.shape[1:4]
     out = np.ascontiguousarray(ocl[:, ::s, ::s, ::s].transpose(0, 4, 1, 2, 3))
 
@@ -398,19 +446,17 @@ def conv3d(x, kernel, stride=1, padding=0):
             gcl[:, ::s, :H1:s, :W1:s] = g.transpose(0, 2, 3, 4, 1)
             gcl = gcl.reshape(N, -1, Co)
             gk = np.zeros((k * k, k * Ci, Co), dtype=np.float64)
-            for n, r0, r1, ops in _wide_tiles(flat, grid, k):
+            for n, r0, r1, ops in _wide_tiles(_flat_grid(x.data, grid, p, k), grid, k):
                 for ij, a in enumerate(ops):
                     gk[ij] += a.T @ gcl[n, r0:r1]
             gk = gk.reshape(k, k, k, Ci, Co).transpose(4, 3, 0, 1, 2)
             kernel.accumulate_grad(np.ascontiguousarray(gk, dtype=dt), own=True)
         if x.requires_grad:
-            # g on the stride-1 grid in a k-1-p zero border, built at its final size:
-            # _flat_grid is slow from a crop whose channel stride is a power of two
-            b, kf = k - 1 - p, kernel.data[:, :, ::-1, ::-1, ::-1]
-            gp = np.zeros((N, Co, D + k - 1, H + k - 1, W + k - 1), dtype=dt)
-            gp[:, :, b:b + D1:s, b:b + H1:s, b:b + W1:s] = g
+            # g on the stride-1 grid in a k-1-p zero border
+            gridb = (D + k - 1, H + k - 1, W + k - 1)
+            kf = kernel.data[:, :, ::-1, ::-1, ::-1]
             wb = kf.transpose(2, 3, 4, 0, 1).reshape(k * k, k * Co, Ci)
-            gx = _correlate(_flat_grid(gp, k), gp.shape[2:], wb, k)
+            gx = _correlate(_flat_grid(g, gridb, k - 1 - p, k, s), gridb, wb, k)
             x.accumulate_grad(np.ascontiguousarray(gx.transpose(0, 4, 1, 2, 3)), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")

@@ -114,7 +114,8 @@ def unet_forward(params, warped, target, cfg=None):
     `cfg.depth` levels are convolved and every pooled grid is; enc{depth}
     is the bottleneck. Nothing is padded: pooling keeps a ragged last block
     (a dim of 5 pools to 3), and each decoder level resizes to its skip's
-    shape.
+    shape. Hidden convs add their bias inside leaky_relu, so each stores one
+    activation; only the final projection uses bias_add.
     """
     cfg = cfg or UNet3DConfig()
     if warped.shape != target.shape:
@@ -124,8 +125,7 @@ def unet_forward(params, warped, target, cfg=None):
     def block(x, prefix):
         for conv in ("conv1", "conv2"):
             x = ad.conv3d(x, params[f"{prefix}.{conv}.w"], stride=1, padding=1)
-            x = ad.bias_add(x, params[f"{prefix}.{conv}.b"])
-            x = ad.leaky_relu(x)
+            x = ad.leaky_relu(x, bias=params[f"{prefix}.{conv}.b"])
         return x
 
     skips = []

@@ -157,6 +157,33 @@ def test_resize_rejects_empty():
 def test_leaky_relu_value():
     x = DiffTensor(np.array([-1.0]).reshape(1, 1, 1, 1, 1))
     assert ad.leaky_relu(x, 0.2).item() == pytest.approx(-0.2)
+    with pytest.raises(ValueError, match="slope"):  # the backward reads the output's sign
+        ad.leaky_relu(x, 0.0)
+
+
+def test_leaky_relu_bias_is_bias_add_then_leaky_relu_bit_for_bit():
+    x = RNG.standard_normal((2, 3, 4, 5, 3)).astype(np.float32)
+    b = np.array([0.5, -0.25, 0.0], np.float32).reshape(1, 3, 1, 1, 1)
+    x[0, :, 0] = 0.0            # exact zeros in x ...
+    x[1, :, 1] = -b[0, :, 0]    # ... and in x + b
+    y = DiffTensor(RNG.standard_normal(x.shape).astype(np.float32))
+    runs = []
+    for fused in (True, False):
+        xt, bt = DiffTensor(x, requires_grad=True), DiffTensor(b, requires_grad=True)
+        out = ad.leaky_relu(xt, bias=bt) if fused else ad.leaky_relu(ad.bias_add(xt, bt))
+        runs.append(out.data)
+        ad.reduce_sum(ad.mul(out, y)).backward()
+        runs += [xt.grad, bt.grad]
+    assert np.any(runs[0] == 0) and np.any(runs[0] < 0)
+    for fused, unfused in zip(runs[:3], runs[3:]):
+        assert fused.dtype == unfused.dtype == np.float32
+        assert np.array_equal(fused, unfused)
+
+
+def test_leaky_relu_bias_gradcheck():
+    a = RNG.standard_normal((1, 2, 3, 3, 3))
+    b = RNG.standard_normal((1, 2, 1, 1, 1))
+    check_gradients(lambda at, bt: ad.reduce_mean(ad.square(ad.leaky_relu(at, bias=bt))), [a, b])
 
 
 def test_add_neg_cancels():
@@ -220,6 +247,20 @@ def test_fanout_two_consumers_sums_gradients():
     loss.backward()
     expect = 2.0 * (2.0 * shared.data) + 2.0
     assert np.allclose(x.grad, expect, rtol=1e-6)
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    x = DiffTensor(np.full((1, 1, 1, 1, 1), 2.0), requires_grad=True)
+    y = ad.square(x)
+    loss = ad.reduce_sum(y)
+    loss.backward()
+    assert x.grad.reshape(-1)[0] == pytest.approx(4.0)
+    assert y.grad is None and y._parents == ()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.reduce_sum(ad.scale(y, 2.0)).backward()
+    assert x.grad.reshape(-1)[0] == pytest.approx(4.0)
 
 
 # structural ops

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +170,71 @@ def test_gradients_reach_every_net():
     loss.backward()
     for t, net in enumerate(casc.nets, start=1):
         assert any(q.grad is not None and np.any(q.grad != 0) for q in net.values()), f"net{t} got no gradient"
+
+
+def _default_cascade_loss(n=16):
+    """Loss graph of a default cascade on an n^3 pair, with the nodes
+    cascade_forward returned and the cascade."""
+    p = synth_problem(5, dims=(n, n, n))
+    casc = unet.init_cascade(seed=4)
+    phis, warps = unet.cascade_forward(DisplacementField.zero((n, n, n)),
+                                       p.phantom, p.fixed, casc)
+    loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1])
+    return loss, phis + warps, casc
+
+
+def test_backward_consumes_the_graph_and_leaves_keep_gradients():
+    loss, nodes, casc = _default_cascade_loss()
+    loss.backward()
+    for node in nodes + [loss]:
+        assert node.grad is None and node._parents == ()
+        assert node._backward.__closure__ is None  # holds no array, no node
+    for name, q in casc.named_params().items():
+        assert q.grad is not None and q.grad.shape == q.shape, name
+
+
+# bytes of the non-leaf arrays the graph above retained while conv3d kept its
+# padded channels-last copy and every hidden conv had its own bias_add node
+GRAPH_BYTES_BEFORE = 23_324_460
+
+
+def _retained(root):
+    """The base arrays, by id, of every non-leaf node's data below root and
+    of what its backward closure holds; and per conv3d node, the size of its
+    padded input with the sizes of the arrays its closure holds."""
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    leaves, held, convs, seen, stack = set(), {}, [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is None:
+            leaves.add(id(base(node.data)))
+            continue
+        cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+        closed = [a for v in cells for a in (v if isinstance(v, (list, tuple)) else [v])
+                  if isinstance(a, np.ndarray)]
+        if node.op == "conv3d":
+            (N, C, *dims), k = node._parents[0].shape, node._parents[1].shape[2]
+            convs.append((N * C * math.prod(d + k - 1 for d in dims), [a.size for a in closed]))
+        for a in [node.data] + closed:
+            held[id(base(a))] = base(a)
+    return [a for i, a in held.items() if i not in leaves], convs
+
+
+def test_forward_graph_stores_each_activation_once():
+    loss, _, _ = _default_cascade_loss()
+    held, convs = _retained(loss)
+    assert sum(a.nbytes for a in held) <= (1 - 0.47) * GRAPH_BYTES_BEFORE
+    assert len(convs) == 33
+    for padded, sizes in convs:
+        assert all(size < padded for size in sizes)
 
 
 def test_unet_gradcheck_small():
