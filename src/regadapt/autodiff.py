@@ -169,18 +169,6 @@ def add(x, y):
     return _result(x.data + y.data, (x, y), bwd, "add")
 
 
-def sub(x, y):
-    _check_same_shape(x, y, "sub")
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if y.requires_grad:
-            y.accumulate_grad(-g)
-
-    return _result(x.data - y.data, (x, y), bwd, "sub")
-
-
 def mul(x, y):
     _check_same_shape(x, y, "mul")
 
@@ -205,28 +193,6 @@ def square(x):
         x.accumulate_grad(g * (2.0 * x.data))
 
     return _result(x.data * x.data, (x,), bwd, "square")
-
-
-def sqrt(x):
-    out = np.sqrt(x.data)
-
-    def bwd(g):
-        x.accumulate_grad(g / (2.0 * out))
-
-    return _result(out, (x,), bwd, "sqrt")
-
-
-def div(x, y):
-    _check_same_shape(x, y, "div")
-    out = x.data / y.data
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / y.data)
-        if y.requires_grad:
-            y.accumulate_grad(-g * out / y.data)
-
-    return _result(out, (x, y), bwd, "div")
 
 
 def scale(x, s):
@@ -582,8 +548,8 @@ def avg_pool3d(x, factor):
 
 def gaussian_kernel1d(window, dtype=np.float64):
     """Truncated, renormalized Gaussian; radius (window-1)/2, sigma window/4."""
-    if window % 2 != 1:
-        raise ValueError(f"gaussian window must be odd, got {window}")
+    if window < 1 or window % 2 != 1:
+        raise ValueError(f"gaussian window must be positive and odd, got {window}")
     return _gaussian_taps((window - 1) // 2, window / 4.0).astype(dtype)
 
 

@@ -242,8 +242,7 @@ def cmd_pretrain(args):
                               max_disp=args.max_disp)
             problems.append((p.phantom, p.fixed))
     if not problems:
-        print("pretrain: no training pairs found", file=sys.stderr)
-        return 1
+        raise ValueError("pretrain: no training pairs found")
     cascade = cfg.make_cascade()
     history = pl.pretrain_refiners(problems, cascade, steps=args.pretrain_steps,
                                    lr=args.pretrain_lr, seed=cfg.seed, cfg=cfg)
@@ -273,13 +272,11 @@ def cmd_evaluate(args):
             entries = json.load(f)
         if not (isinstance(entries, list) and entries
                 and all(isinstance(e, dict) and "field" in e for e in entries)):
-            print("evaluate: batch manifest must be a nonempty JSON list of objects, "
-                  "each with a \"field\"", file=sys.stderr)
-            return 1
+            raise ValueError("evaluate: batch manifest must be a nonempty JSON list of objects, "
+                             "each with a \"field\"")
     else:
         if not args.field:
-            print("evaluate: need --field or --batch", file=sys.stderr)
-            return 1
+            raise ValueError("evaluate: need --field or --batch")
         entries = [{
             "field": args.field, "moving_labels": args.moving_labels,
             "fixed_labels": args.fixed_labels, "landmarks": args.landmarks,

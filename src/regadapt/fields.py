@@ -229,7 +229,7 @@ def scale_field(u, s):
     (or wider) dtype once, so on float32 fields scaling by s1 * s2 and by
     s1 then s2 differ by at most 1 ulp.
     """
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
+    ua = ad._array_of(u)
     out = (ua.astype(np.float64) * float(s)).astype(np.result_type(ua.dtype, np.float32))
     return DisplacementField(out) if isinstance(u, DisplacementField) else out
 
@@ -240,7 +240,7 @@ def scale_field(u, s):
 
 def jacobian_det(u):
     """Per-voxel det(I + grad u), central differences inside, one-sided at edges."""
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
+    ua = ad._array_of(u)
     if min(ua.shape[1:]) < 2:
         raise ValueError("jacobian_det needs at least 2 voxels per axis")
     J = [[None] * 3 for _ in range(3)]
@@ -271,7 +271,7 @@ def ndv(u):
 def sample_field_at_points(u, pts_vox):
     """Trilinearly sample the field at (N, 3) voxel coordinates, with the
     warp's kernel: sampling at grid + d gives warp(u, d) bit for bit."""
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
+    ua = ad._array_of(u)
     dims = ua.shape[1:]
     i0, t, _ = _sample_prep(dims, np.asarray(pts_vox, dtype=np.float64).T)
     return _lerp3(ua.reshape(3, -1), *_cells(i0, t, dims))[0].T
@@ -279,7 +279,7 @@ def sample_field_at_points(u, pts_vox):
 
 def warp_labels_array(labels, u):
     """Nearest-neighbor label warp: out(x) = labels(round(x + u(x))), clamped."""
-    ua = u.data if isinstance(u, DisplacementField) else np.asarray(u)
+    ua = ad._array_of(u)
     dims = labels.shape
     if tuple(ua.shape[1:]) != tuple(dims):
         raise ValueError(f"warp_labels: dims mismatch {dims} vs {ua.shape[1:]}")

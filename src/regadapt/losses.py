@@ -7,10 +7,12 @@ cov / sqrt((var_a + eps)(var_b + eps)) with eps = 1e-5, and the scalar is
 the mean over voxels. The minimization convention is L_sim = -LNCC; raw
 LNCC values are always exposed alongside.
 
-Every loss has one implementation, as autodiff graph ops. Called with
-Volume3D, DisplacementField or ndarray inputs, lncc, diffusion_reg and
-total_loss lift them to graph leaves that need no gradient, so no backward
-closures are kept, and return floats (and arrays) instead of nodes.
+Every loss has one implementation, as autodiff graph ops. lncc and
+diffusion_reg are each one op whose backward is written out in closed
+form; total_loss_graph adds their nodes up. Called with Volume3D,
+DisplacementField or ndarray inputs, lncc, diffusion_reg and total_loss
+lift them to graph leaves that need no gradient, so no backward closures
+are kept, and return floats (and arrays) instead of nodes.
 
 Border convention: the local moments are zero-padded Gaussian sums, as in
 autodiff.filter_separable. Per-voxel values are therefore exact, and
@@ -37,33 +39,50 @@ LNCC_EPS = 1e-5
 # LNCC
 
 
-def _lncc_graph(a, b, window):
-    ga = ad.gaussian_filter(a, window)
-    gb = ad.gaussian_filter(b, window)
-    var_a = ad.sub(ad.gaussian_filter(ad.mul(a, a), window), ad.mul(ga, ga))
-    var_b = ad.sub(ad.gaussian_filter(ad.mul(b, b), window), ad.mul(gb, gb))
-    cov = ad.sub(ad.gaussian_filter(ad.mul(a, b), window), ad.mul(ga, gb))
-    den = ad.sqrt(ad.mul(ad.add_scalar(var_a, LNCC_EPS), ad.add_scalar(var_b, LNCC_EPS)))
-    return ad.div(cov, den)
-
-
 def lncc(a, b, window=9, return_map=False):
     """Mean local normalized cross-correlation, signed, in [-1, 1].
 
     Accepts Volume3D/ndarray pairs, computed in float32 (returns a float and
-    a map of the input's shape) or DiffTensor pairs (returns graph nodes,
-    differentiable wrt both inputs).
+    a map of the input's shape) or DiffTensor pairs (returns one graph node,
+    differentiable wrt both inputs, and the map as a rank-5 array). With
+    G the Gaussian filter, m_x = G(x), v_x = G(x x) - m_x^2 + eps and
+    den = sqrt(v_a v_b), the map is c = (G(a b) - m_a m_b) / den. The
+    backward gives each input x, with partner y, the gradient
+    2 x G(g_v) + y G(g_c) - G(2 g_v m_x + g_c m_y), where g_c = g / (n den),
+    g_v = -g c / (2 n v_x) and n is the number of voxels (G is self-adjoint).
     """
-    if window % 2 != 1:
-        raise ValueError(f"lncc window must be odd, got {window}")
+    k1d = ad.gaussian_kernel1d(window)
     at, bt = ad._lift(a, np.float32), ad._lift(b, np.float32)
     if at.shape != bt.shape:
         raise ValueError(f"lncc: shape mismatch {at.shape} vs {bt.shape}")
-    m = _lncc_graph(at, bt, window)
-    s = ad.reduce_mean(m)
+
+    def G(v):
+        return ad.filter_separable(v, k1d)
+
+    x, y = at.data, bt.data
+    ma, mb = G(x), G(y)
+    eps = x.dtype.type(LNCC_EPS)
+    va = G(x * x) - ma * ma + eps
+    vb = G(y * y) - mb * mb + eps
+    den = np.sqrt(va * vb)
+    c = (G(x * y) - ma * mb) / den
+    n = c.size
+
+    def bwd(g):
+        gn = c.dtype.type(g.reshape(-1)[0] / n)
+        gc = gn / den
+        g_gc = G(gc)
+        for t, mt, vt, u, mu in ((at, ma, va, bt, mb), (bt, mb, vb, at, ma)):
+            if t.requires_grad:
+                gv = (-0.5 * gn) * c / vt
+                t.accumulate_grad(2 * t.data * G(gv) + u.data * g_gc - G(2 * gv * mt + gc * mu),
+                                  own=True)
+
+    mean = np.asarray(c.sum(dtype=np.float64) / n, dtype=c.dtype).reshape((1,) * 5)
+    s = ad._result(mean, (at, bt), bwd, "lncc")
     if not (isinstance(a, DiffTensor) or isinstance(b, DiffTensor)):
-        s, m = s.item(), m.data.reshape(ad._array_of(a).shape)
-    return (s, m) if return_map else s
+        s, c = s.item(), c.reshape(ad._array_of(a).shape)
+    return (s, c) if return_map else s
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import fields as fa
+from .autodiff import _array_of
 
 
 def warp_labels(labels, u):
@@ -77,7 +78,7 @@ def tre(landmarks, u, spacing):
     measured against the stored moving-image points.
     """
     sp = np.asarray(spacing, dtype=np.float64)
-    dims = np.asarray((u.dims if hasattr(u, "dims") else np.asarray(u).shape[1:]))
+    dims = np.asarray(_array_of(u).shape[1:])
     q_vox = landmarks.fixed / sp
     if np.any(q_vox < 0) or np.any(q_vox > dims - 1):
         raise ValueError("tre: landmark outside the volume bounds")

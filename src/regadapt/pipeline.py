@@ -231,7 +231,7 @@ def iterate_backbone(spec, moving, fixed, k):
 
 def reference_histogram(volume, bins=256):
     """Intensity histogram usable as a monotone_remap reference."""
-    data = volume.data if hasattr(volume, "spacing") else np.asarray(volume)
+    data = ad._array_of(volume)
     counts, edges = np.histogram(data.reshape(-1), bins=bins)
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffTensor, gaussian_reflect
+from .autodiff import _array_of, gaussian_reflect
 from .fields import DisplacementField, sample_field_at_points, warp
 
 
@@ -280,7 +280,7 @@ def save_params(path, params, meta=None):
     offset = 0
     for name in sorted(params):
         p = params[name]
-        a = p.data if isinstance(p, DiffTensor) else np.asarray(p)
+        a = _array_of(p)
         arrays.append(a)
         entries.append({"name": name, "shape": list(a.shape), "offset": offset})
         offset += 4 * a.size
@@ -349,7 +349,7 @@ class SynthProblem:
         dims = self.phantom.dims
         coords = np.indices(dims).astype(np.float64)
         if field is not None:
-            coords = coords + (field.data if hasattr(field, "data") else np.asarray(field))
+            coords = coords + _array_of(field)
         arr = _geometry_labels(np.asarray(self.geometry["center"]),
                                [np.asarray(r) for r in self.geometry["radii"]], coords)
         return LabelMap(dims=dims, spacing=self.phantom.spacing, data=arr)

@@ -581,6 +581,19 @@ def test_evaluate_needs_a_field_or_a_batch(capsys):
     assert "need --field or --batch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate"],
+    ["evaluate", "--batch", "{dir}/batch.json"],
+    ["pretrain", "--data-dir", "{dir}/empty", "--out", "{dir}/c.ckpt"],
+], ids=["no-field", "empty-batch", "no-pairs"])
+def test_command_input_errors_are_reported_by_main(argv, tmp_path, capsys):
+    (tmp_path / "batch.json").write_text("[]")
+    (tmp_path / "empty").mkdir()
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_baseline_numerical_abort_exits_two_and_writes_out(tmp_path, capsys, monkeypatch):
     d = _synth(tmp_path)
     out = tmp_path / "cmp.json"

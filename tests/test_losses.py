@@ -73,6 +73,15 @@ def test_lncc_rejects_bad_args():
         losses.lncc(a, _textured((4, 4, 5)))
 
 
+def test_non_positive_windows_raise():
+    # a negative odd window passes the odd check alone and gives an empty kernel
+    a = _textured((4, 4, 4))
+    with pytest.raises(ValueError, match="positive"):
+        losses.lncc(a, _textured((4, 4, 4), 1), -1)
+    with pytest.raises(ValueError, match="positive"):
+        ad.gaussian_kernel1d(-3)
+
+
 def test_lncc_gradcheck():
     a = RNG.uniform(-1, 1, (1, 1, 6, 6, 6))
     b = RNG.uniform(-1, 1, (1, 1, 6, 6, 6))
@@ -172,6 +181,53 @@ def test_diffusion_is_one_graph_op():
     ut = ad.DiffTensor(RNG.standard_normal((1, 3, 4, 5, 3)), requires_grad=True)
     reg = losses.diffusion_reg(ut)
     assert reg._parents == (ut,)
+
+
+def test_lncc_is_one_graph_op():
+    at = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 5, 7)), requires_grad=True)
+    bt = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 5, 7)))
+    s = losses.lncc(at, bt, 5)
+    assert s.op == "lncc"
+    assert s._parents == (at, bt)
+
+
+def test_lncc_gradcheck_first_input_only():
+    # the instance-optimization case: the warped moving image needs a
+    # gradient, the fixed image does not
+    a = RNG.uniform(-1, 1, (1, 1, 6, 7, 5))
+    b = RNG.uniform(-1, 1, (1, 1, 6, 7, 5))
+    at, bt = ad.DiffTensor(a, requires_grad=True), ad.DiffTensor(b)
+    losses.lncc(at, bt, 5).backward()
+    fd = fd_gradient(lambda: losses.lncc(ad.DiffTensor(a), ad.DiffTensor(b), 5).item(), a)
+    assert max_rel_err(at.grad, fd) < 1e-3
+    assert bt.grad is None
+
+
+def test_lncc_value_is_the_five_moment_formula_bit_for_bit():
+    a = _textured((1, 1, 9, 10, 11), 21)
+    b = _textured((1, 1, 9, 10, 11), 22)
+    k1d = ad.gaussian_kernel1d(7)
+    ma, mb = ad.filter_separable(a, k1d), ad.filter_separable(b, k1d)
+    eps = np.float32(losses.LNCC_EPS)
+    var_a = ad.filter_separable(a * a, k1d) - ma * ma
+    var_b = ad.filter_separable(b * b, k1d) - mb * mb
+    cov = ad.filter_separable(a * b, k1d) - ma * mb
+    ref_map = cov / np.sqrt((var_a + eps) * (var_b + eps))
+    ref = np.float32(ref_map.sum(dtype=np.float64) / ref_map.size)
+    got, got_map = losses.lncc(a, b, 7, return_map=True)
+    assert got == float(ref)
+    assert np.array_equal(got_map, ref_map)
+    node, node_map = losses.lncc(ad.DiffTensor(a, requires_grad=True), ad.DiffTensor(b), 7,
+                                 return_map=True)
+    assert node.data.reshape(-1)[0] == ref
+    assert isinstance(node_map, np.ndarray) and np.array_equal(node_map, ref_map)
+
+
+def test_lncc_multichannel_is_the_mean_of_its_channels():
+    a = _textured((1, 2, 8, 9, 7), 23)
+    b = _textured((1, 2, 8, 9, 7), 24)
+    per_channel = [losses.lncc(a[:, c:c + 1], b[:, c:c + 1], 5) for c in range(2)]
+    assert losses.lncc(a, b, 5) == pytest.approx(np.mean(per_channel), rel=1e-6)
 
 
 # total loss
