@@ -10,14 +10,15 @@ keep their gradients. Each graph gets one backward() call; a second one
 raises RuntimeError. There is no broadcasting; binary ops require exactly
 matching shapes. Storage is float32 by default (float64 supported for
 gradient checking); reductions and the conv3d kernel-gradient accumulation
-run in float64. conv3d has one kernel path, GEMMs of row shifts on the
-flattened padded grid, for its forward pass and both gradients, and every
-gradient it returns is C-contiguous; it keeps no padded copy in the graph
-and rebuilds it for the kernel gradient. Every separable linear op (resize,
-average pooling, Gaussian filtering) is one cached (n_out, n_in) matrix per
-spatial axis, applied by _apply_axes as one matmul per axis; its backward
-applies the transposed matrices. The engine does no file I/O: parameter
-checkpoints are read and written by volume_io.
+run in float64. conv3d has one kernel path for its forward pass and both
+gradients: channels-first GEMMs, (C_out, k*C) weights times (k*C, cols)
+column shifts of the flattened padded grid, so no pass transposes between
+layouts. Every gradient it returns is C-contiguous; it keeps no padded copy
+in the graph and rebuilds it for the kernel gradient. Every separable linear
+op (resize, average pooling, Gaussian filtering) is one cached (n_out, n_in)
+matrix per spatial axis, applied by _apply_axes as one matmul per axis; its
+backward applies the transposed matrices. The engine does no file I/O:
+parameter checkpoints are read and written by volume_io.
 """
 
 import functools
@@ -28,7 +29,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# output rows per conv3d GEMM tile; the wide operands are built per tile
+# output voxels (GEMM columns) per conv3d tile; the wide operands are built per tile
 _CONV_TILE_ROWS = 4096
 
 
@@ -323,67 +324,70 @@ def reduce_mean(x):
 
 
 def _flat_grid(a, grid, p, k, s=1):
-    """Channels-last rows (N, Dp*Hp*Wp + tail, C) of the zero grid (Dp, Hp, Wp)
+    """Channels-first columns (N, C, Dp*Hp*Wp + tail) of the zero grid (Dp, Hp, Wp)
     that holds a (N, C, D, H, W) at voxels p + s*i along each axis: kernel
-    offset (i, j, l) is the row shift i*Hp*Wp + j*Wp + l, and the zero tail
-    holds the rows the last offsets read past the grid. One copy of a into a
-    zeroed buffer."""
+    offset (i, j, l) is the column shift i*Hp*Wp + j*Wp + l, and the zero tail
+    holds the columns the last offsets read past the grid. One plain copy of
+    a into a zeroed buffer."""
     N, C = a.shape[:2]
     Dp, Hp, Wp = grid
     n = Dp * Hp * Wp
-    flat = np.zeros((N, n + (k - 1) * (Wp + 1), C), dtype=a.dtype)
+    flat = np.zeros((N, C, n + (k - 1) * (Wp + 1)), dtype=a.dtype)
     box = tuple(slice(p, p + s * (d - 1) + 1, s) for d in a.shape[2:])
-    flat[:, :n].reshape(N, Dp, Hp, Wp, C)[(slice(None),) + box] = a.transpose(0, 2, 3, 4, 1)
+    flat[:, :, :n].reshape(N, C, Dp, Hp, Wp)[(slice(None), slice(None)) + box] = a
     return flat
 
 
 def _wide_tiles(flat, grid, k):
-    """Yield (n, r0, r1, ops) per tile of stride-1 output rows on the padded
-    H/W grid: ops[i*k + j], the (r1-r0, k*C) operand of offsets (i, j, 0..k-1),
-    is a row slice of one wide tile that holds each row beside its k-1
-    successors along W (k copies per tile)."""
+    """Yield (n, r0, r1, ops) per tile of stride-1 output columns on the
+    padded H/W grid: ops[i*k + j], the (k*C, r1-r0) operand of offsets
+    (i, j, 0..k-1), is a column slice of one wide tile that stacks k copies
+    of the tile's columns, each shifted by one more column along W."""
     Dp, Hp, Wp = grid
-    C = flat.shape[2]
+    C = flat.shape[1]
     rows, halo = (Dp - k + 1) * Hp * Wp, (k - 1) * (Hp * Wp + Wp)
     for n in range(flat.shape[0]):
         for r0 in range(0, rows, _CONV_TILE_ROWS):
             r1 = min(r0 + _CONV_TILE_ROWS, rows)
-            wide = np.empty((r1 - r0 + halo, k * C), dtype=flat.dtype)
+            wide = np.empty((k * C, r1 - r0 + halo), dtype=flat.dtype)
             for l in range(k):
-                wide[:, l * C:(l + 1) * C] = flat[n, r0 + l:r1 + halo + l]
-            yield n, r0, r1, [wide[i * Hp * Wp + j * Wp:][:r1 - r0]
+                wide[l * C:(l + 1) * C] = flat[n, :, r0 + l:r1 + halo + l]
+            yield n, r0, r1, [wide[:, i * Hp * Wp + j * Wp:][:, :r1 - r0]
                               for i in range(k) for j in range(k)]
 
 
 def _correlate(flat, grid, w, k):
-    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k, k*C, Co).
+    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k, Co, k*C):
+    out[n, :, r0:r1] = sum_ij w[ij] @ ops[ij] per tile.
 
-    Returns a channels-last (N, Dp-k+1, Hp-k+1, Wp-k+1, Co) view that crops
-    the rows computed on the padded H/W grid.
+    Returns a channels-first (N, Co, Dp-k+1, Hp-k+1, Wp-k+1) view that crops
+    the columns computed on the padded H/W grid.
     """
     Dp, Hp, Wp = grid
-    out = np.empty((flat.shape[0], (Dp - k + 1) * Hp * Wp, w.shape[2]), dtype=flat.dtype)
+    out = np.empty((flat.shape[0], w.shape[1], (Dp - k + 1) * Hp * Wp), dtype=flat.dtype)
     for n, r0, r1, ops in _wide_tiles(flat, grid, k):
-        acc = out[n, r0:r1]
+        acc = out[n, :, r0:r1]
         tmp = np.empty_like(acc)
-        np.matmul(ops[0], w[0], out=acc)
-        for a, b in zip(ops[1:], w[1:]):
+        np.matmul(w[0], ops[0], out=acc)
+        for a, b in zip(w[1:], ops[1:]):
             np.matmul(a, b, out=tmp)
             acc += tmp
-    return out.reshape(-1, Dp - k + 1, Hp, Wp, w.shape[2])[:, :, :Hp - k + 1, :Wp - k + 1]
+    return out.reshape(-1, w.shape[1], Dp - k + 1, Hp, Wp)[:, :, :, :Hp - k + 1, :Wp - k + 1]
 
 
 def conv3d(x, kernel, stride=1, padding=0):
     """Zero-padded cross-correlation with a (C_out, C_in, k, k, k) kernel.
 
-    Each row tile of the flattened padded input costs k*k GEMMs of depth
-    k*C_in. The input gradient runs the same _correlate on the zero-bordered
-    output gradient with the flipped, transposed kernel; the kernel gradient
-    multiplies the same wide tiles with the output gradient, in float64.
-    The graph keeps the input node, not its padded copy: the backward
-    rebuilds the padded operand, and only when the kernel needs a gradient.
-    stride > 1 subsamples the stride-1 result; its backward scatters g onto
-    the stride-1 grid. Differentiable wrt both arguments.
+    Everything stays channels-first. Each column tile of the flattened padded
+    input costs k*k GEMMs (C_out, k*C_in) @ (k*C_in, cols), and the output
+    and input gradient are crop copies of _correlate's result. The input
+    gradient runs the same _correlate on the zero-bordered output gradient
+    with the flipped, transposed kernel; the kernel gradient multiplies the
+    same wide tiles with the transposed output gradient tile, accumulating
+    in float64. The graph keeps the input node, not its padded copy: the
+    backward rebuilds the padded operand, and only when the kernel needs a
+    gradient. stride > 1 subsamples the stride-1 result; its backward
+    scatters g onto the stride-1 grid. Differentiable wrt both arguments.
     """
     Co, Ci, k, kh, kw = kernel.shape
     if k != kh or kh != kw:
@@ -400,30 +404,30 @@ def conv3d(x, kernel, stride=1, padding=0):
     dt, s, p = x.dtype, stride, padding
 
     grid = (D + 2 * p, H + 2 * p, W + 2 * p)
-    w = kernel.data.transpose(2, 3, 4, 1, 0).reshape(k * k, k * Ci, Co)
-    ocl = _correlate(_flat_grid(x.data, grid, p, k), grid, w, k)
-    D1, H1, W1 = ocl.shape[1:4]
-    out = np.ascontiguousarray(ocl[:, ::s, ::s, ::s].transpose(0, 4, 1, 2, 3))
+    w = kernel.data.transpose(2, 3, 0, 4, 1).reshape(k * k, Co, k * Ci)
+    full = _correlate(_flat_grid(x.data, grid, p, k), grid, w, k)
+    D1, H1, W1 = full.shape[2:]
+    out = np.ascontiguousarray(full[:, :, ::s, ::s, ::s])
 
     def bwd(g):
         if kernel.requires_grad:
-            # g on the padded H/W grid, zero on the rows the forward cropped
-            gcl = np.zeros((N, D1, grid[1], grid[2], Co), dtype=dt)
-            gcl[:, ::s, :H1:s, :W1:s] = g.transpose(0, 2, 3, 4, 1)
-            gcl = gcl.reshape(N, -1, Co)
+            # g on the padded H/W grid, zero on the columns the forward cropped
+            gp = np.zeros((N, Co, D1, grid[1], grid[2]), dtype=dt)
+            gp[:, :, ::s, :H1:s, :W1:s] = g
+            gp = gp.reshape(N, Co, -1)
             gk = np.zeros((k * k, k * Ci, Co), dtype=np.float64)
             for n, r0, r1, ops in _wide_tiles(_flat_grid(x.data, grid, p, k), grid, k):
                 for ij, a in enumerate(ops):
-                    gk[ij] += a.T @ gcl[n, r0:r1]
+                    gk[ij] += a @ gp[n, :, r0:r1].T
             gk = gk.reshape(k, k, k, Ci, Co).transpose(4, 3, 0, 1, 2)
             kernel.accumulate_grad(np.ascontiguousarray(gk, dtype=dt), own=True)
         if x.requires_grad:
             # g on the stride-1 grid in a k-1-p zero border
             gridb = (D + k - 1, H + k - 1, W + k - 1)
             kf = kernel.data[:, :, ::-1, ::-1, ::-1]
-            wb = kf.transpose(2, 3, 4, 0, 1).reshape(k * k, k * Co, Ci)
+            wb = kf.transpose(2, 3, 1, 4, 0).reshape(k * k, Ci, k * Co)
             gx = _correlate(_flat_grid(g, gridb, k - 1 - p, k, s), gridb, wb, k)
-            x.accumulate_grad(np.ascontiguousarray(gx.transpose(0, 4, 1, 2, 3)), own=True)
+            x.accumulate_grad(np.ascontiguousarray(gx), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")
 

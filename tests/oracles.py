@@ -135,6 +135,28 @@ def conv3d_oracle(x, k, stride=1, padding=0):
     return out
 
 
+def conv3d_grads_oracle(x, k, g, stride=1, padding=0):
+    """Input and kernel gradients of sum(g * conv3d_oracle(x, k)), looped
+    over the output voxels like conv3d_oracle: each one adds g times the
+    kernel to its input patch and g times its patch to the kernel."""
+    kk = k.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3).astype(np.float64)
+    gxp, gk = np.zeros_like(xp), np.zeros(k.shape)
+    N, Co, Do, Ho, Wo = g.shape
+    for n in range(N):
+        for co in range(Co):
+            for d in range(Do):
+                for h in range(Ho):
+                    for w in range(Wo):
+                        box = (n, slice(None), slice(d * stride, d * stride + kk),
+                               slice(h * stride, h * stride + kk),
+                               slice(w * stride, w * stride + kk))
+                        gxp[box] += g[n, co, d, h, w] * k[co]
+                        gk[co] += g[n, co, d, h, w] * xp[box]
+    D, H, W = x.shape[2:]
+    return gxp[:, :, padding:padding + D, padding:padding + H, padding:padding + W], gk
+
+
 def endpoint_error(field_data, truth_data):
     d = field_data.astype(np.float64) - truth_data.astype(np.float64)
     return float(np.sqrt((d ** 2).sum(axis=0)).mean())

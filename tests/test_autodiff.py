@@ -7,8 +7,8 @@ from regadapt import autodiff as ad
 from regadapt import volume_io as vio
 from regadapt.autodiff import DiffTensor
 
-from oracles import (avg_pool_oracle, conv3d_oracle, fd_gradient, max_rel_err,
-                     trilinear_resize_oracle)
+from oracles import (avg_pool_oracle, conv3d_grads_oracle, conv3d_oracle, fd_gradient,
+                     max_rel_err, trilinear_resize_oracle)
 
 RNG = np.random.default_rng(1234)
 
@@ -73,6 +73,24 @@ def test_conv_non_cubic_batched_strided_matches_oracle(xs, ks, stride, padding):
     x, k = RNG.standard_normal(xs), RNG.standard_normal(ks)
     out = ad.conv3d(DiffTensor(x), DiffTensor(k), stride, padding)
     assert max_rel_err(out.data, conv3d_oracle(x, k, stride, padding)) < 1e-10
+    check_gradients(lambda xt, kt: ad.reduce_mean(ad.square(ad.conv3d(xt, kt, stride, padding))),
+                    [x, k * 0.3])
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv_across_ragged_row_tiles_matches_oracle(monkeypatch, stride, padding):
+    # 37 columns per tile: every grid spans many tiles, the last one short,
+    # and the halo of k-1 planes reaches across several tiles
+    monkeypatch.setattr(ad, "_CONV_TILE_ROWS", 37)
+    x, k = RNG.standard_normal((2, 2, 4, 5, 6)), RNG.standard_normal((3, 2, 3, 3, 3))
+    xt, kt = DiffTensor(x, requires_grad=True), DiffTensor(k, requires_grad=True)
+    out = ad.conv3d(xt, kt, stride, padding)
+    assert max_rel_err(out.data, conv3d_oracle(x, k, stride, padding)) < 1e-10
+    g = RNG.standard_normal(out.shape)
+    ad.reduce_sum(ad.mul(out, DiffTensor(g))).backward()
+    gx, gk = conv3d_grads_oracle(x, k, g, stride, padding)
+    assert max_rel_err(xt.grad, gx) < 1e-10
+    assert max_rel_err(kt.grad, gk) < 1e-10
     check_gradients(lambda xt, kt: ad.reduce_mean(ad.square(ad.conv3d(xt, kt, stride, padding))),
                     [x, k * 0.3])
 
