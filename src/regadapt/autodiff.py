@@ -7,8 +7,11 @@ order. backward() consumes the graph: once a node's closure has run, the
 node drops its gradient, closure and parents, so what backward has used is
 freed as it goes. Leaves (parameters, and inputs made with requires_grad)
 keep their gradients. Each graph gets one backward() call; a second one
-raises RuntimeError. There is no broadcasting; binary ops require exactly
-matching shapes. Storage is float32 by default (float64 supported for
+raises RuntimeError. The graph keeps every node's value unless the code
+that built it knows nothing reads it again: _release swaps that buffer for a
+zero-stride view of the same shape and dtype (the U-Net releases its conv3d
+outputs and decoder resizes). There is no broadcasting; binary ops require
+exactly matching shapes. Storage is float32 by default (float64 supported for
 gradient checking); reductions and the conv3d kernel-gradient accumulation
 run in float64. conv3d has one kernel path for its forward pass and both
 gradients: channels-first GEMMs, (C_out, k*C) weights times (k*C, cols)
@@ -132,6 +135,20 @@ def _result(data, parents, backward, op):
     if not rg:
         return DiffTensor(data, requires_grad=False, op=op)
     return DiffTensor(data, requires_grad=True, parents=parents, backward=backward, op=op)
+
+
+def _release(node):
+    """Drop the buffer behind an op's output whose value nothing reads again.
+
+    node.data becomes a read-only zero-stride view of zeros with the same
+    shape and dtype, so shape, dtype, accumulate_grad and the node's
+    backward closure work as before and gradients route unchanged. Only for
+    values no later op, backward closure or caller reads: a read returns
+    zeros. Raises ValueError on a leaf, whose data its owner keeps.
+    """
+    if node.op == "leaf":
+        raise ValueError("_release: a leaf keeps its data")
+    node.data = np.broadcast_to(np.zeros((), dtype=node.dtype), node.shape)
 
 
 def _array_of(x):

@@ -114,8 +114,14 @@ def unet_forward(params, warped, target, cfg=None):
     `cfg.depth` levels are convolved and every pooled grid is; enc{depth}
     is the bottleneck. Nothing is padded: pooling keeps a ragged last block
     (a dim of 5 pools to 3), and each decoder level resizes to its skip's
-    shape. Hidden convs add their bias inside leaky_relu, so each stores one
-    activation; only the final projection uses bias_add.
+    shape. Hidden convs add their bias inside leaky_relu; only the final
+    projection uses bias_add.
+
+    The graph keeps only values a backward reads: every conv's input (the
+    input pair's concat, each pooled tensor, each decoder concat and each
+    activation, which leaky_relu's backward also reads). Each conv3d output
+    is released once its bias and activation are applied, and each decoder
+    resize once it is concatenated: no backward reads those values.
     """
     cfg = cfg or UNet3DConfig()
     if warped.shape != target.shape:
@@ -124,8 +130,9 @@ def unet_forward(params, warped, target, cfg=None):
 
     def block(x, prefix):
         for conv in ("conv1", "conv2"):
-            x = ad.conv3d(x, params[f"{prefix}.{conv}.w"], stride=1, padding=1)
-            x = ad.leaky_relu(x, bias=params[f"{prefix}.{conv}.b"])
+            c = ad.conv3d(x, params[f"{prefix}.{conv}.w"], stride=1, padding=1)
+            x = ad.leaky_relu(c, bias=params[f"{prefix}.{conv}.b"])
+            ad._release(c)
         return x
 
     skips = []
@@ -136,11 +143,14 @@ def unet_forward(params, warped, target, cfg=None):
         skips.append(x)
     for i in range(cfg.depth - 1, 0, -1):
         skip = skips[i - 1]
-        x = ad.trilinear_resize(x, target=skip.shape[2:])
-        x = ad.concat_channels([x, skip])
+        r = ad.trilinear_resize(x, target=skip.shape[2:])
+        x = ad.concat_channels([r, skip])
+        ad._release(r)
         x = block(x, f"dec{i}")
-    x = ad.conv3d(x, params["final.w"], stride=1, padding=0)
-    return ad.bias_add(x, params["final.b"])
+    c = ad.conv3d(x, params["final.w"], stride=1, padding=0)
+    out = ad.bias_add(c, params["final.b"])
+    ad._release(c)
+    return out
 
 
 # the checkpoint meta holds these cascade fields plus every UNet3DConfig field

@@ -281,6 +281,34 @@ def test_second_backward_on_a_consumed_graph_raises():
     assert x.grad.reshape(-1)[0] == pytest.approx(4.0)
 
 
+def test_released_values_route_gradients_bit_for_bit():
+    x = RNG.standard_normal((1, 2, 5, 6, 4)).astype(np.float32)
+    k = RNG.standard_normal((3, 2, 3, 3, 3)).astype(np.float32)
+    b = RNG.standard_normal((1, 3, 1, 1, 1)).astype(np.float32)
+    skip = RNG.standard_normal((1, 1, 6, 7, 5)).astype(np.float32)
+    runs = []
+    for release in (False, True):
+        leaves = [DiffTensor(a, requires_grad=True) for a in (x, k, b, skip)]
+        xt, kt, bt, st = leaves
+        c = ad.conv3d(xt, kt, padding=1)
+        act = ad.leaky_relu(c, bias=bt)
+        r = ad.trilinear_resize(act, target=st.shape[2:])
+        cat = ad.concat_channels([r, st])
+        if release:
+            for node in (c, r):
+                shape, dtype = node.shape, node.dtype
+                ad._release(node)
+                assert node.shape == shape and node.dtype == dtype == np.float32
+                assert node.data.strides == (0,) * 5 and not node.data.flags.writeable
+                assert node.data.base.nbytes == node.data.itemsize  # no buffer of its own
+        ad.reduce_sum(ad.square(cat)).backward()
+        runs.append([leaf.grad for leaf in leaves])
+    for unreleased, released in zip(*runs):
+        assert np.array_equal(unreleased, released)
+    with pytest.raises(ValueError, match="leaf"):
+        ad._release(DiffTensor(x))
+
+
 # structural ops
 
 

@@ -237,6 +237,30 @@ def test_forward_graph_stores_each_activation_once():
         assert all(size < padded for size in sizes)
 
 
+# bytes _retained counts for the graph above while every conv3d output and
+# decoder resize kept its data; releasing them leaves 7,184,304
+GRAPH_BYTES_UNRELEASED = 11_800_084
+
+
+def test_forward_graph_drops_conv_outputs_and_decoder_resizes():
+    loss, _, _ = _default_cascade_loss()
+    held, _ = _retained(loss)
+    assert sum(a.nbytes for a in held) <= 0.65 * GRAPH_BYTES_UNRELEASED
+    convs, resizes, seen, stack = [], [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        convs += [node] if node.op == "conv3d" else []
+        # a decoder resize is one a concat reads; field upsampling's are not
+        resizes += [p for p in node._parents if node.op == "concat" and p.op == "resize"]
+    assert len(convs) == 33 and len(resizes) == 6
+    for node in convs + resizes:
+        assert node.data.strides == (0,) * 5 and node.data.base.nbytes == node.data.itemsize
+
+
 def test_unet_gradcheck_small():
     cfg = unet.UNet3DConfig(base_channels=2, depth=2, zero_init_final=False)
     rng = np.random.default_rng(8)
