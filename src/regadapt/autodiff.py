@@ -12,20 +12,20 @@ that built it knows nothing reads it again: _release swaps that buffer for a
 zero-stride view of the same shape and dtype (the U-Net releases its conv3d
 outputs and decoder resizes). There is no broadcasting; binary ops require
 exactly matching shapes. Storage is float32 by default (float64 supported for
-gradient checking); reductions and the conv3d kernel-gradient accumulation
-run in float64. conv3d has one kernel path for its forward pass and both
-gradients: channels-first GEMMs, (C_out, k*C) weights times (k*C, cols)
-column shifts of the flattened padded grid, so no pass transposes between
-layouts. Every gradient it returns is C-contiguous; it keeps no padded copy
-in the graph and rebuilds it for the kernel gradient. Every separable linear
-op (resize, average pooling, Gaussian filtering) is one cached (n_out, n_in)
-matrix per spatial axis, applied by _apply_axes as one matmul per axis; its
-backward applies the transposed matrices. The engine does no file I/O:
-parameter checkpoints are read and written by volume_io.
+gradient checking); per-channel bias sums and the conv3d kernel-gradient
+accumulation run in float64. conv3d runs stride 1 only, with one kernel path
+for its forward pass and both gradients: channels-first GEMMs, (C_out, k*C)
+weights times (k*C, cols) column shifts of the flattened padded grid, so no
+pass transposes between layouts. Every gradient it returns is C-contiguous;
+it keeps no padded copy in the graph and rebuilds it for the kernel gradient.
+Every separable linear op (resize, average pooling, Gaussian filtering) is
+one cached (n_out, n_in) matrix per spatial axis, applied by _apply_axes as
+one matmul per axis; the graph ops among them (resize, pooling) apply the
+transposed matrices in backward. The engine does no file I/O: parameter
+checkpoints are read and written by volume_io.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,17 +166,13 @@ def _lift(x, dtype=None):
     return DiffTensor(a.reshape((1,) * (5 - a.ndim) + a.shape), dtype=dtype)
 
 
-def _check_same_shape(x, y, op):
-    if x.shape != y.shape:
-        raise ValueError(f"{op}: shape mismatch {x.shape} vs {y.shape}")
-
-
 # ---------------------------------------------------------------------------
 # pointwise ops
 
 
 def add(x, y):
-    _check_same_shape(x, y, "add")
+    if x.shape != y.shape:
+        raise ValueError(f"add: shape mismatch {x.shape} vs {y.shape}")
 
     def bwd(g):
         if x.requires_grad:
@@ -187,30 +183,11 @@ def add(x, y):
     return _result(x.data + y.data, (x, y), bwd, "add")
 
 
-def mul(x, y):
-    _check_same_shape(x, y, "mul")
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * y.data)
-        if y.requires_grad:
-            y.accumulate_grad(g * x.data)
-
-    return _result(x.data * y.data, (x, y), bwd, "mul")
-
-
 def neg(x):
     def bwd(g):
         x.accumulate_grad(-g)
 
     return _result(-x.data, (x,), bwd, "neg")
-
-
-def square(x):
-    def bwd(g):
-        x.accumulate_grad(g * (2.0 * x.data))
-
-    return _result(x.data * x.data, (x,), bwd, "square")
 
 
 def scale(x, s):
@@ -220,15 +197,6 @@ def scale(x, s):
         x.accumulate_grad(g * s)
 
     return _result(x.data * np.asarray(s, dtype=x.dtype), (x,), bwd, "scale")
-
-
-def add_scalar(x, c):
-    c = float(c)
-
-    def bwd(g):
-        x.accumulate_grad(g)
-
-    return _result(x.data + np.asarray(c, dtype=x.dtype), (x,), bwd, "add_scalar")
 
 
 def leaky_relu(x, slope=0.2, bias=None):
@@ -314,43 +282,20 @@ def concat_channels(tensors):
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-def reduce_sum(x):
-    val = x.data.sum(dtype=np.float64)
-
-    def bwd(g):
-        x.accumulate_grad(np.full_like(x.data, x.dtype.type(g.reshape(-1)[0])))
-
-    return _result(np.asarray(val, dtype=x.dtype).reshape(1, 1, 1, 1, 1), (x,), bwd, "sum")
-
-
-def reduce_mean(x):
-    n = x.data.size
-    val = x.data.sum(dtype=np.float64) / n
-
-    def bwd(g):
-        x.accumulate_grad(np.full_like(x.data, x.dtype.type(g.reshape(-1)[0] / n)))
-
-    return _result(np.asarray(val, dtype=x.dtype).reshape(1, 1, 1, 1, 1), (x,), bwd, "mean")
-
-
-# ---------------------------------------------------------------------------
 # convolution
 
 
-def _flat_grid(a, grid, p, k, s=1):
+def _flat_grid(a, grid, p, k):
     """Channels-first columns (N, C, Dp*Hp*Wp + tail) of the zero grid (Dp, Hp, Wp)
-    that holds a (N, C, D, H, W) at voxels p + s*i along each axis: kernel
-    offset (i, j, l) is the column shift i*Hp*Wp + j*Wp + l, and the zero tail
-    holds the columns the last offsets read past the grid. One plain copy of
-    a into a zeroed buffer."""
+    that holds a (N, C, D, H, W) at offset p along each axis: kernel offset
+    (i, j, l) is the column shift i*Hp*Wp + j*Wp + l, and the zero tail holds
+    the columns the last offsets read past the grid. One plain copy of a into
+    a zeroed buffer."""
     N, C = a.shape[:2]
     Dp, Hp, Wp = grid
     n = Dp * Hp * Wp
     flat = np.zeros((N, C, n + (k - 1) * (Wp + 1)), dtype=a.dtype)
-    box = tuple(slice(p, p + s * (d - 1) + 1, s) for d in a.shape[2:])
+    box = tuple(slice(p, p + d) for d in a.shape[2:])
     flat[:, :, :n].reshape(N, C, Dp, Hp, Wp)[(slice(None), slice(None)) + box] = a
     return flat
 
@@ -403,9 +348,10 @@ def conv3d(x, kernel, stride=1, padding=0):
     same wide tiles with the transposed output gradient tile, accumulating
     in float64. The graph keeps the input node, not its padded copy: the
     backward rebuilds the padded operand, and only when the kernel needs a
-    gradient. stride > 1 subsamples the stride-1 result; its backward
-    scatters g onto the stride-1 grid. Differentiable wrt both arguments.
+    gradient. stride must be 1. Differentiable wrt both arguments.
     """
+    if stride != 1:
+        raise ValueError(f"conv3d: only stride 1 is supported, got {stride}")
     Co, Ci, k, kh, kw = kernel.shape
     if k != kh or kh != kw:
         raise ValueError("conv3d: kernel must be cubic")
@@ -418,19 +364,18 @@ def conv3d(x, kernel, stride=1, padding=0):
         raise ValueError("conv3d: output would be empty")
     if padding >= k:
         raise ValueError(f"conv3d: padding {padding} must be below the kernel size {k}")
-    dt, s, p = x.dtype, stride, padding
+    dt, p = x.dtype, padding
 
     grid = (D + 2 * p, H + 2 * p, W + 2 * p)
     w = kernel.data.transpose(2, 3, 0, 4, 1).reshape(k * k, Co, k * Ci)
-    full = _correlate(_flat_grid(x.data, grid, p, k), grid, w, k)
-    D1, H1, W1 = full.shape[2:]
-    out = np.ascontiguousarray(full[:, :, ::s, ::s, ::s])
+    out = np.ascontiguousarray(_correlate(_flat_grid(x.data, grid, p, k), grid, w, k))
+    D1, H1, W1 = out.shape[2:]
 
     def bwd(g):
         if kernel.requires_grad:
             # g on the padded H/W grid, zero on the columns the forward cropped
             gp = np.zeros((N, Co, D1, grid[1], grid[2]), dtype=dt)
-            gp[:, :, ::s, :H1:s, :W1:s] = g
+            gp[:, :, :, :H1, :W1] = g
             gp = gp.reshape(N, Co, -1)
             gk = np.zeros((k * k, k * Ci, Co), dtype=np.float64)
             for n, r0, r1, ops in _wide_tiles(_flat_grid(x.data, grid, p, k), grid, k):
@@ -439,11 +384,11 @@ def conv3d(x, kernel, stride=1, padding=0):
             gk = gk.reshape(k, k, k, Ci, Co).transpose(4, 3, 0, 1, 2)
             kernel.accumulate_grad(np.ascontiguousarray(gk, dtype=dt), own=True)
         if x.requires_grad:
-            # g on the stride-1 grid in a k-1-p zero border
+            # g in a k-1-p zero border
             gridb = (D + k - 1, H + k - 1, W + k - 1)
             kf = kernel.data[:, :, ::-1, ::-1, ::-1]
             wb = kf.transpose(2, 3, 1, 4, 0).reshape(k * k, Ci, k * Co)
-            gx = _correlate(_flat_grid(g, gridb, k - 1 - p, k, s), gridb, wb, k)
+            gx = _correlate(_flat_grid(g, gridb, k - 1 - p, k), gridb, wb, k)
             x.accumulate_grad(np.ascontiguousarray(gx), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")
@@ -533,20 +478,9 @@ def _identity(x, op):
     return _result(x.data.copy(), (x,), bwd, op)
 
 
-def resize_target_dims(spatial, factor):
-    return tuple(int(math.ceil(s * factor - 1e-9)) for s in spatial)
-
-
-def trilinear_resize(x, factor=None, target=None):
-    """Trilinear (separable linear) resize of the spatial dims.
-
-    Either a scale factor or explicit target (D,H,W) dims must be given.
-    """
-    if (factor is None) == (target is None):
-        raise ValueError("trilinear_resize: give exactly one of factor/target")
+def trilinear_resize(x, target):
+    """Trilinear (separable linear) resize of the spatial dims to target (D, H, W)."""
     dims = x.shape[2:]
-    if target is None:
-        target = resize_target_dims(dims, float(factor))
     target = tuple(int(t) for t in target)
     if min(target) < 1:
         raise ValueError(f"trilinear_resize: empty output dims {target}")
@@ -587,16 +521,6 @@ def filter_separable(a, k1d):
     """
     taps = tuple(np.asarray(k1d, dtype=np.float64).tolist())
     return _apply_axes(a, _axis_matrices(_band_matrix, a.shape[-3:], [(taps,)] * 3, a.dtype))
-
-
-def gaussian_filter(x, window):
-    """Separable Gaussian smoothing as a differentiable op (self-adjoint)."""
-    k1d = gaussian_kernel1d(window)
-
-    def bwd(g):
-        x.accumulate_grad(filter_separable(g, k1d), own=True)
-
-    return _result(filter_separable(x.data, k1d), (x,), bwd, "gauss")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .fields import DisplacementField, ndv
 from .volume_io import (
     CONTRAST_KINDS,
     VolumeIOError,
+    _load_json,
     _read_manifest,
     _write_file,
     load_field,
@@ -90,11 +91,13 @@ def _effective_config(args):
     eff = dict(_IO_DEFAULTS)
     env_seed = os.environ.get("REGADAPT_SEED")
     if env_seed is not None:
-        eff["seed"] = int(env_seed)
+        try:
+            eff["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"REGADAPT_SEED must be an integer, got {env_seed!r}") from None
     cfg_path = getattr(args, "config", None)
     if cfg_path:
-        with open(cfg_path) as f:
-            file_cfg = json.load(f)
+        file_cfg = _load_json(cfg_path, "config file")
         if not isinstance(file_cfg, dict):
             raise VolumeIOError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(_IO_DEFAULTS)
@@ -233,6 +236,9 @@ def cmd_pretrain(args):
         raise ValueError(f"--pretrain-lr must be finite and >= 0, got {args.pretrain_lr}")
     if args.pretrain_steps < 0:
         raise ValueError(f"--pretrain-steps must be >= 0, got {args.pretrain_steps}")
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"{flag} {path}: not a file in an existing directory")
     if args.data_dir:
         problems = [(m, f) for m, f in _load_pairs_dir(args.data_dir)]
     else:
@@ -268,8 +274,7 @@ def _evaluate_one(entry):
 def cmd_evaluate(args):
     entries = []
     if args.batch:
-        with open(args.batch) as f:
-            entries = json.load(f)
+        entries = _load_json(args.batch, "batch manifest")
         if not (isinstance(entries, list) and entries
                 and all(isinstance(e, dict) and "field" in e for e in entries)):
             raise ValueError("evaluate: batch manifest must be a nonempty JSON list of objects, "

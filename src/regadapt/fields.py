@@ -210,14 +210,15 @@ def compose(prev, resid):
                                                          isinstance(x, DisplacementField))))
 
 
-def upsample_field(u, factor=None, target=None):
-    """Trilinear resize of each component plus per-axis unit conversion.
+def upsample_field(u, target):
+    """Trilinear resize of each component to target (D, H, W) plus per-axis
+    unit conversion.
 
     Coarse-grid voxel units become fine-grid voxel units: component c is
     multiplied by target_c / source_c.
     """
     ut = ad._lift(u)
-    resized = ad.trilinear_resize(ut, factor=factor, target=target)
+    resized = ad.trilinear_resize(ut, target=target)
     ratios = tuple(t / s for t, s in zip(resized.shape[2:], ut.shape[2:]))
     return _like(ad.scale_channels(resized, ratios), u)
 

@@ -206,11 +206,8 @@ def _variational_field(spec, moving, fixed):
             peak = float(np.abs(g).max())
             if peak > 0:
                 u = u - (spec.step / peak) * g
-            u = _ndi_gaussian(u, spec.smooth_sigma)
+            u = ad.gaussian_reflect(u, spec.smooth_sigma)
     return DisplacementField(u.astype(np.float32))
-
-
-_ndi_gaussian = ad.gaussian_reflect  # looked up at call time, so tests can replace it
 
 
 def iterate_backbone(spec, moving, fixed, k):

@@ -158,15 +158,20 @@ def _read_arrays(path, dtype, shapes):
     return [part.reshape(s) for part, s in zip(parts, shapes)]
 
 
+def _load_json(path, what):
+    """The JSON value in the file at path; an error names it as what and path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
+        raise VolumeIOError(f"{what} {path} is not valid JSON: {e}") from None
+
+
 def _read_json(path, keys):
     """The JSON object in the file at path; it must hold each of keys."""
     if not os.path.exists(path):
         raise VolumeIOError(f"missing manifest {path}")
-    try:
-        with open(path, encoding="utf-8") as f:
-            m = json.load(f)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
-        raise VolumeIOError(f"manifest {path} is not valid JSON: {e}") from None
+    m = _load_json(path, "manifest")
     if not isinstance(m, dict):
         raise VolumeIOError(f"manifest {path} must hold a JSON object")
     for key in keys:
@@ -249,11 +254,16 @@ def load_landmarks(path):
         for row in csv.reader(f):
             if not row:
                 continue
-            vals = [float(x) for x in row]
+            try:
+                vals = [float(x) for x in row]
+            except ValueError as e:
+                raise VolumeIOError(f"{path}: {e}") from None
             if len(vals) != 6:
                 raise VolumeIOError(f"{path}: landmark rows need 6 values, got {len(vals)}")
             moving.append(vals[:3])
             fixed.append(vals[3:])
+    if not moving:
+        raise VolumeIOError(f"{path}: no landmark rows")
     return LandmarkSet(moving=np.array(moving), fixed=np.array(fixed))
 
 

@@ -1,11 +1,15 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately naive (per-voxel loops, scipy dense
-filtering) and shares no code with the library paths it validates.
+filtering) and shares no code with the library paths it validates. The two
+scalar graph nodes at the end, mean_square and inner, are the losses the
+gradient checks end in; the library has no such ops.
 """
 
 import numpy as np
 from scipy.ndimage import correlate as ndi_correlate
+
+from regadapt.autodiff import DiffTensor
 
 
 def fd_gradient(f, x, h=1e-3):
@@ -173,3 +177,37 @@ def avg_pool_oracle(a, factor):
                           w * factor:(w + 1) * factor]
                 out[d, h, w] = float(block.astype(np.float64).sum()) / block.size
     return out
+
+
+def _scalar_node(x, value, dtype, bwd, op):
+    """A (1, 1, 1, 1, 1) graph node over x holding value in dtype."""
+    data = np.asarray(value, dtype=dtype).reshape(1, 1, 1, 1, 1)
+    if not x.requires_grad:
+        return DiffTensor(data, op=op)
+    return DiffTensor(data, requires_grad=True, parents=(x,), backward=bwd, op=op)
+
+
+def mean_square(x):
+    """mean(x * x) of a DiffTensor as a scalar node: a float64 sum over x.size,
+    and the gradient 2x / n formed in x's dtype."""
+    n = x.data.size
+
+    def bwd(g):
+        x.accumulate_grad(x.dtype.type(g.reshape(-1)[0] / n) * (2.0 * x.data), own=True)
+
+    return _scalar_node(x, (x.data * x.data).sum(dtype=np.float64) / n, x.dtype, bwd,
+                        "mean_square")
+
+
+def inner(x, g):
+    """sum(x * g) for a DiffTensor x and a constant float array g of x's
+    shape, as a scalar node in the dtype of x * g whose gradient is g."""
+    g = np.asarray(g)
+    if g.shape != x.shape:
+        raise ValueError(f"inner: shape mismatch {x.shape} vs {g.shape}")
+
+    def bwd(gs):
+        x.accumulate_grad(gs.reshape(-1)[0] * g)
+
+    prod = x.data * g
+    return _scalar_node(x, prod.sum(dtype=np.float64), prod.dtype, bwd, "inner")

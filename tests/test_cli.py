@@ -223,6 +223,42 @@ def test_manifest_that_is_not_json_is_one_line_input_error(tmp_path, capsys):
     assert "fixed.vol.json is not valid JSON" in err
 
 
+@pytest.mark.parametrize("argv, env, source", [
+    (["register", "--moving", "m", "--fixed", "f", "--config", "{dir}/bad.json"], None,
+     "{dir}/bad.json"),
+    (["evaluate", "--batch", "{dir}/bad.json"], None, "{dir}/bad.json"),
+    (["register", "--moving", "m", "--fixed", "f"], "abc", "REGADAPT_SEED"),
+], ids=["config", "batch", "env-seed"])
+def test_bad_input_message_names_its_source(argv, env, source, tmp_path, capsys, monkeypatch):
+    (tmp_path / "bad.json").write_text("[\n")
+    if env is None:
+        monkeypatch.delenv("REGADAPT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("REGADAPT_SEED", env)
+    rc = cli.main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1 and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert source.format(dir=tmp_path) in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evaluate", ""), ("register", ""), ("evaluate", "1,2,x,4,5,6\n"),
+], ids=["evaluate-empty", "register-empty", "evaluate-not-a-number"])
+def test_bad_landmark_file_is_input_error(tmp_path, capsys, command, text):
+    d = _synth(tmp_path)
+    bad = tmp_path / "lm.csv"
+    bad.write_text(text)
+    if command == "evaluate":
+        argv = ["evaluate", "--field", str(d / "true_field.vol")]
+    else:
+        argv = ["register", "--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol"),
+                "--steps", "1", *SMALL]
+    capsys.readouterr()
+    rc = cli.main(argv + ["--landmarks", str(bad)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and str(bad) in err[0]
+
+
 @pytest.mark.parametrize("entry", [{"pair_id": "x"}, 5])
 def test_evaluate_malformed_batch_entry_is_input_error(tmp_path, capsys, entry):
     manifest = tmp_path / "batch.json"
@@ -316,6 +352,20 @@ def test_pretrain_negative_steps_is_input_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1 and len(err) == 1 and "--pretrain-steps" in err[0]
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, bad", [
+    ("--out", "missing/x"), ("--history", "missing/x"), ("--out", "."),
+], ids=["out-missing-dir", "history-missing-dir", "out-is-a-dir"])
+def test_pretrain_bad_output_path_fails_before_training(tmp_path, capsys, monkeypatch, flag, bad):
+    monkeypatch.setattr(cli, "synth_problem", lambda *a, **k: pytest.fail("pair synthesized"))
+    paths = {"--out": str(tmp_path / "c.ckpt"), "--history": str(tmp_path / "h.jsonl")}
+    paths[flag] = str(tmp_path / bad)
+    rc = cli.main(["pretrain", "--synth-pairs", "1", "--dims", "12", "12", "12",
+                   "--pretrain-steps", "1", "--out", paths["--out"],
+                   "--history", paths["--history"], *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and paths[flag] in err[0]
 
 
 def test_pretrain_seeded_checkpoint_reproducible(tmp_path):

@@ -271,7 +271,7 @@ def test_variational_smoother_matches_scipy(dims):
     from scipy.ndimage import gaussian_filter
 
     u = np.random.default_rng(5).standard_normal((3,) + dims).astype(np.float32)
-    got = pl._ndi_gaussian(u, 2.0)
+    got = ad.gaussian_reflect(u, 2.0)
     assert got.shape == u.shape and got.dtype == u.dtype
     for c in range(3):
         ref = gaussian_filter(u[c], sigma=2.0, mode="reflect", truncate=4.0)
@@ -279,7 +279,7 @@ def test_variational_smoother_matches_scipy(dims):
 
 
 def test_variational_non_finite_field_aborts(prob, monkeypatch):
-    monkeypatch.setattr(pl, "_ndi_gaussian", lambda a, sigma: np.full_like(a, np.nan))
+    monkeypatch.setattr(ad, "gaussian_reflect", lambda a, sigma: np.full_like(a, np.nan))
     spec = pl.BackboneSpec(kind="variational", levels=1, iters=2)
     with pytest.raises(pl.RegistrationAbort, match="non-finite displacement"):
         pl.backbone_predict(spec, prob.phantom, prob.fixed)

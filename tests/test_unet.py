@@ -15,7 +15,7 @@ from regadapt import volume_io as vio
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import synth_problem
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, mean_square
 
 RNG = np.random.default_rng(31)
 
@@ -271,7 +271,7 @@ def test_unet_gradcheck_small():
     def run(theta):
         at = ad.DiffTensor(a)
         bt = ad.DiffTensor(b)
-        return ad.reduce_mean(ad.square(unet.unet_forward(theta, at, bt, cfg)))
+        return mean_square(unet.unet_forward(theta, at, bt, cfg))
 
     f64 = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
            for k, p in params.items()}
@@ -296,8 +296,7 @@ def test_unet_gradcheck_ragged_pooling():
     b = rng.standard_normal((1, 1, 5, 6, 7))
 
     def run(theta):
-        return ad.reduce_mean(ad.square(
-            unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg)))
+        return mean_square(unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg))
 
     run(params).backward()
     for name in ("enc1.conv1.w", "enc2.conv2.b", "dec1.conv1.b", "dec1.conv2.w", "final.w"):
@@ -318,8 +317,7 @@ def test_unet_gradcheck_depth_one():
     b = rng.standard_normal((1, 1, 5, 6, 7))
 
     def run(theta):
-        return ad.reduce_mean(ad.square(
-            unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg)))
+        return mean_square(unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg))
 
     run(params).backward()
     for name in params:
