@@ -118,6 +118,14 @@ def _effective_config(args):
     return pl.IOConfig(**eff)
 
 
+def _load_on_grid(load, path, dims):
+    """load(path), an input that must lie on the volumes' grid of dims."""
+    x = load(path)
+    if x.dims != dims:
+        raise VolumeIOError(f"{path}: dims {x.dims} differ from the volumes' {dims}")
+    return x
+
+
 def _parse_backbone(text):
     if text is None or text == "zero":
         return pl.BackboneSpec(kind="zero")
@@ -176,9 +184,11 @@ def cmd_register(args):
     cfg = _effective_config(args)
     moving = load_volume(args.moving)
     fixed = load_volume(args.fixed)
-    moving_labels = load_labels(args.moving_labels) if args.moving_labels else None
-    fixed_labels = load_labels(args.fixed_labels) if args.fixed_labels else None
+    moving_labels, fixed_labels = (_load_on_grid(load_labels, p, fixed.dims) if p else None
+                                   for p in (args.moving_labels, args.fixed_labels))
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
+    if landmarks is not None:
+        mx.landmark_voxels(landmarks, fixed.dims, fixed.spacing, source=args.landmarks)
     backbone = _parse_backbone(args.backbone)
     style = _parse_style(args.style)
     result = pl.register_pair(moving, fixed, cfg=cfg, backbone=backbone, style=style,
@@ -272,7 +282,8 @@ def _evaluate_one(entry):
 
 
 def cmd_evaluate(args):
-    entries = []
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.batch:
         entries = _load_json(args.batch, "batch manifest")
         if not (isinstance(entries, list) and entries
@@ -287,8 +298,9 @@ def cmd_evaluate(args):
             "fixed_labels": args.fixed_labels, "landmarks": args.landmarks,
             "pair_id": args.pair_id or os.path.basename(args.field),
         }]
-    if args.jobs > 1 and len(entries) > 1:
-        with Pool(args.jobs) as pool:
+    jobs = min(args.jobs, len(entries))
+    if jobs > 1:
+        with Pool(jobs) as pool:
             reports = pool.map(_evaluate_one, entries)
     else:
         reports = [_evaluate_one(e) for e in entries]
@@ -321,6 +333,7 @@ def cmd_baseline(args):
     cfg = _effective_config(args)
     moving = load_volume(args.moving)
     fixed = load_volume(args.fixed)
+    truth = _load_on_grid(load_field, args.true_field, fixed.dims) if args.true_field else None
     backbone = _parse_backbone(args.backbone)
     style = _parse_style(args.style)
     if args.strategy == "backbone-only":
@@ -336,8 +349,7 @@ def cmd_baseline(args):
         "pipeline_best_step": result.trace.best_step,
         "pipeline_error": result.trace.error,
     }
-    if args.true_field:
-        truth = load_field(args.true_field)
+    if truth is not None:
         comparison["baseline_epe_vox"] = _endpoint_error(base_field, truth)
         comparison["pipeline_epe_vox"] = _endpoint_error(result.field, truth)
         comparison["zero_epe_vox"] = _endpoint_error(

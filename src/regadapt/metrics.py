@@ -71,6 +71,14 @@ def hd95(a_mask, b_mask, spacing):
     return float(np.percentile(pooled, 95, method="linear"))
 
 
+def landmark_voxels(landmarks, dims, spacing, source="tre"):
+    """Fixed-image landmarks in voxels; ValueError naming source if one lies off a dims grid."""
+    q_vox = landmarks.fixed / np.asarray(spacing, dtype=np.float64)
+    if np.any(q_vox < 0) or np.any(q_vox > np.asarray(dims) - 1):
+        raise ValueError(f"{source}: landmark outside the volume bounds")
+    return q_vox
+
+
 def tre(landmarks, u, spacing):
     """Mean/median target registration error in mm.
 
@@ -78,10 +86,7 @@ def tre(landmarks, u, spacing):
     measured against the stored moving-image points.
     """
     sp = np.asarray(spacing, dtype=np.float64)
-    dims = np.asarray(_array_of(u).shape[1:])
-    q_vox = landmarks.fixed / sp
-    if np.any(q_vox < 0) or np.any(q_vox > dims - 1):
-        raise ValueError("tre: landmark outside the volume bounds")
+    q_vox = landmark_voxels(landmarks, _array_of(u).shape[1:], sp)
     disp = fa.sample_field_at_points(u, q_vox)
     mapped_mm = (q_vox + disp) * sp
     err = np.linalg.norm(mapped_mm - landmarks.moving, axis=1)

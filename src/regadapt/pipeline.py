@@ -77,8 +77,9 @@ class StyleTransferSpec:
 
 
 @dataclass(frozen=True)
-class IOConfig:
-    """Instance-optimization settings; defaults are the deployment values."""
+class IOConfig(un.CascadeConfig):
+    """Instance-optimization settings; defaults are the deployment values. The
+    seven cascade settings and their checks are inherited from `unet.CascadeConfig`."""
 
     steps: int = 50
     base_lr: float = 5e-4
@@ -88,16 +89,10 @@ class IOConfig:
     gate_window: int = 11
     tau: float = 0.4
     gate_down: int = 4
-    seed: int = 0
-    variant: str = un.MODES["variant"][0]
-    update_mode: str = un.MODES["update_mode"][0]
-    scale_mode: str = un.MODES["scale_mode"][0]
-    output_scale: float = 0.05
     dice_every: int = 5
-    base_channels: int = 32
-    depth: int = 3
 
     def __post_init__(self):
+        super().__post_init__()
         low = {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
                "lncc_window": 1, "gate_window": 1, "gate_down": 1}
         for f in dataclasses.fields(self):
@@ -111,16 +106,9 @@ class IOConfig:
         for w in (self.lncc_window, self.gate_window):
             if w % 2 != 1:
                 raise ValueError(f"windows must be odd, got {w}")
-        un.check_modes(self)
-        self.unet_config()  # checks base_channels and depth
-
-    def unet_config(self):
-        return un.UNet3DConfig(base_channels=self.base_channels, depth=self.depth)
 
     def make_cascade(self):
-        return un.init_cascade(config=self.unet_config(), seed=self.seed,
-                               variant=self.variant, update_mode=self.update_mode,
-                               scale_mode=self.scale_mode, output_scale=self.output_scale)
+        return un.init_cascade(self)
 
 
 @dataclass
@@ -447,7 +435,10 @@ class RegistrationResult:
 
 def register_pair(moving, fixed, cfg=None, backbone=None, style=None,
                   moving_labels=None, fixed_labels=None, cascade=None):
-    """Gate -> backbone -> instance optimization, as deployed."""
+    """Gate -> backbone -> instance optimization, as deployed; label dims are checked first."""
+    for name, labels in (("moving_labels", moving_labels), ("fixed_labels", fixed_labels)):
+        if labels is not None and labels.dims != fixed.dims:
+            raise ValueError(f"register_pair: {name} dims {labels.dims} differ from {fixed.dims}")
     cfg = cfg or IOConfig()
     backbone = backbone or BackboneSpec(kind="zero")
     style = style or StyleTransferSpec(kind="identity")

@@ -10,6 +10,9 @@ Each net runs unpadded on its input's own grid: pooling keeps a ragged last
 block where a dim is odd, and each decoder level resizes to its skip's
 shape. Final conv layers are zero-initialized so a fresh cascade reproduces
 the initialization exactly.
+
+The seven settings that shape a cascade are declared once, in `CascadeConfig`:
+`pipeline.IOConfig` inherits them, and a checkpoint's meta is exactly its fields.
 """
 
 import dataclasses
@@ -33,23 +36,35 @@ MODES = {
 }
 
 
-def check_modes(settings):
-    """Raise ValueError unless each MODES attribute of settings is allowed."""
-    for name, allowed in MODES.items():
-        value = getattr(settings, name)
-        if value not in allowed:
-            raise ValueError(f"unknown {name} {value!r} (use {' | '.join(allowed)})")
-
-
 @dataclass(frozen=True)
-class UNet3DConfig:
+class CascadeConfig:
+    """The seven settings that shape a refiner cascade, their defaults and
+    their checks; a checkpoint's meta is exactly these fields."""
+
+    variant: str = MODES["variant"][0]
+    update_mode: str = MODES["update_mode"][0]
+    scale_mode: str = MODES["scale_mode"][0]
+    output_scale: float = 0.05
     base_channels: int = 32
     depth: int = 3
-    zero_init_final: bool = True
+    seed: int = 0
 
     def __post_init__(self):
+        for name, allowed in MODES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r} (use {' | '.join(allowed)})")
         if self.depth < 1 or self.base_channels < 1:
             raise ValueError("depth and base_channels must be >= 1")
+
+    @property
+    def scales(self):
+        return (1.0,) if self.variant == "single" else CASCADE_SCALES
+
+    def cascade_config(self):
+        """The CascadeConfig part of this config (of a subclass too)."""
+        return CascadeConfig(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(CascadeConfig)})
 
 
 def _conv_layers(cfg):
@@ -97,7 +112,7 @@ def init_unet_params(cfg, rng):
     """He-style fan-in init for hidden conv weights, zeros for biases and the final conv."""
     params = {}
     for name, shape in _param_shapes(cfg).items():
-        if name.endswith(".b") or (name == "final.w" and cfg.zero_init_final):
+        if name.endswith(".b") or name == "final.w":
             a = np.zeros(shape, dtype=np.float32)
         else:
             std = math.sqrt(2.0 / math.prod(shape[1:]))
@@ -106,7 +121,7 @@ def init_unet_params(cfg, rng):
     return params
 
 
-def unet_forward(params, warped, target, cfg=None):
+def unet_forward(params, warped, target, cfg):
     """Predict a 3-channel residual field from (warped source, target).
 
     Inputs are (1, 1, D, H, W) tensors sharing spatial dims, as does the
@@ -123,7 +138,6 @@ def unet_forward(params, warped, target, cfg=None):
     is released once its bias and activation are applied, and each decoder
     resize once it is concatenated: no backward reads those values.
     """
-    cfg = cfg or UNet3DConfig()
     if warped.shape != target.shape:
         raise ValueError(f"unet_forward: input dims differ {warped.shape} vs {target.shape}")
     x = ad.concat_channels([warped, target])
@@ -153,30 +167,21 @@ def unet_forward(params, warped, target, cfg=None):
     return out
 
 
-# the checkpoint meta holds these cascade fields plus every UNet3DConfig field
-_META_KEYS = ("variant", "update_mode", "scale_mode", "scales", "output_scale", "seed")
-
-
 @dataclass
 class RefineCascade:
-    """Refiner parameter sets plus the update-rule variant flags."""
+    """Refiner parameter sets and the CascadeConfig they were built under."""
 
     nets: list
-    config: UNet3DConfig
-    scales: tuple
-    update_mode: str = "compose"
-    variant: str = "cascade"
-    output_scale: float = 0.05
-    scale_mode: str = "finest_residual"
-    seed: int = 0
+    config: CascadeConfig
 
     def __post_init__(self):
-        check_modes(self)
-        expected = 1 if self.variant == "single" else len(CASCADE_SCALES)
-        if len(self.nets) != expected:
-            raise ValueError(f"{self.variant} variant needs {expected} nets, got {len(self.nets)}")
-        if list(self.scales) != sorted(self.scales) or self.scales[-1] != 1.0:
-            raise ValueError(f"scales must increase to 1, got {self.scales}")
+        if len(self.nets) != len(self.scales):
+            raise ValueError(f"{self.config.variant} variant needs {len(self.scales)} nets, "
+                             f"got {len(self.nets)}")
+
+    @property
+    def scales(self):
+        return self.config.scales
 
     def named_params(self):
         out = {}
@@ -185,24 +190,13 @@ class RefineCascade:
                 out[f"net{t}.{name}"] = p
         return out
 
-    def meta(self):
-        meta = {k: getattr(self, k) for k in _META_KEYS}
-        meta["scales"] = list(self.scales)
-        return {**meta, **dataclasses.asdict(self.config)}
 
-
-def init_cascade(config=None, seed=0, variant="cascade", update_mode="compose",
-                 scale_mode="finest_residual", output_scale=0.05):
-    """Seed-deterministic cascade; zero final layers make it the identity."""
-    cfg = config or UNet3DConfig()
-    scales = (1.0,) if variant == "single" else CASCADE_SCALES
-    rng = np.random.default_rng(int(seed))
-    nets = [init_unet_params(cfg, rng) for _ in scales]
-    return RefineCascade(
-        nets=nets, config=cfg, scales=scales, update_mode=update_mode,
-        variant=variant, output_scale=float(output_scale), scale_mode=scale_mode,
-        seed=int(seed),
-    )
+def init_cascade(config=None):
+    """Seed-deterministic cascade under the CascadeConfig part of config
+    (default: CascadeConfig()); zero final layers make it the identity."""
+    cfg = (config or CascadeConfig()).cascade_config()
+    rng = np.random.default_rng(cfg.seed)
+    return RefineCascade(nets=[init_unet_params(cfg, rng) for _ in cfg.scales], config=cfg)
 
 
 def cascade_forward(phi0, moving, target, cascade):
@@ -218,7 +212,7 @@ def cascade_forward(phi0, moving, target, cascade):
     full_dims = mv.shape[2:]
     if tg.shape[2:] != full_dims or phi_prev.shape[2:] != full_dims:
         raise ValueError("cascade_forward: moving/target/phi0 dims must match")
-    phis, warps = [], []
+    cfg, phis, warps = cascade.config, [], []
     for s, net in zip(cascade.scales, cascade.nets):
         factor = int(round(1.0 / s))
         # I_A o phi_{t-1}: the previous stage's loss warp is the same node
@@ -231,13 +225,12 @@ def cascade_forward(phi0, moving, target, cascade):
         else:
             warped_s = warped_full
             target_s = tg
-        resid = unet_forward(net, warped_s, target_s, cascade.config)
-        scale_this = cascade.scale_mode == "all_residuals" or s == cascade.scales[-1]
-        if scale_this:
-            resid = ad.scale(resid, cascade.output_scale)
+        resid = unet_forward(net, warped_s, target_s, cfg)
+        if cfg.scale_mode == "all_residuals" or s == 1.0:
+            resid = ad.scale(resid, cfg.output_scale)
         if factor > 1:
             resid = fa.upsample_field(resid, target=full_dims)
-        if cascade.update_mode == "compose":
+        if cfg.update_mode == "compose":
             phi_t = fa.compose(phi_prev, resid)
         else:
             phi_t = ad.add(phi_prev, resid)
@@ -251,29 +244,27 @@ def cascade_forward(phi0, moving, target, cascade):
 
 
 def save_cascade(cascade, path):
-    save_params(path, cascade.named_params(), meta=cascade.meta())
+    """Write the parameters, with the cascade's CascadeConfig fields as the meta."""
+    save_params(path, cascade.named_params(), meta=dataclasses.asdict(cascade.config))
 
 
 def load_cascade(path):
     """Rebuild a cascade from a checkpoint written by save_cascade.
 
-    Raises VolumeIOError unless the meta holds exactly the keys a cascade
-    writes and the parameters are exactly those, with the shapes, that its
-    nets have under that meta, so a checkpoint of a differently configured
+    Raises VolumeIOError unless the meta holds exactly the CascadeConfig
+    fields and the parameters are exactly those, with the shapes, that its
+    nets have under that config, so a checkpoint of a differently configured
     or differently built network never loads.
     """
     arrays, manifest = load_params(path)
     meta = manifest["meta"]
-    net_keys = [f.name for f in dataclasses.fields(UNet3DConfig)]
-    want = set(_META_KEYS) | set(net_keys)
+    want = {f.name for f in dataclasses.fields(CascadeConfig)}
     if set(meta) != want:
         raise VolumeIOError(f"checkpoint {path}: meta keys differ from a cascade's: "
                             f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
-    cfg = UNet3DConfig(**{k: meta[k] for k in net_keys})
-    kwargs = {k: meta[k] for k in _META_KEYS}
-    kwargs["scales"] = tuple(meta["scales"])
+    cfg = CascadeConfig(**meta)
     shapes = _param_shapes(cfg)
-    net_ids = range(1, len(kwargs["scales"]) + 1)
+    net_ids = range(1, len(cfg.scales) + 1)
     want = {f"net{t}.{name}": shape for t in net_ids for name, shape in shapes.items()}
     for name, a in arrays.items():
         if name not in want:
@@ -286,4 +277,4 @@ def load_cascade(path):
             raise VolumeIOError(f"checkpoint {path}: lacks parameter {name!r}")
     nets = [{name: DiffTensor(arrays[f"net{t}.{name}"], requires_grad=True) for name in shapes}
             for t in net_ids]
-    return RefineCascade(nets=nets, config=cfg, **kwargs)
+    return RefineCascade(nets=nets, config=cfg)

@@ -1,6 +1,7 @@
 """CLI subcommands: flags, file outputs, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -12,8 +13,8 @@ from regadapt import cli
 from regadapt import losses
 from regadapt import pipeline as pl
 from regadapt import unet
-from regadapt.volume_io import (load_field, load_labels, load_volume, save_landmarks,
-                               save_volume, synth_problem)
+from regadapt.volume_io import (LandmarkSet, load_field, load_labels, load_volume,
+                               save_landmarks, save_volume, synth_problem)
 
 from test_pipeline import _poison_gradient_at, _poison_loss_at
 
@@ -319,11 +320,25 @@ def test_pretrain_zero_steps_checkpoint_equals_fresh(tmp_path):
                    *SMALL])
     assert rc == 0
     loaded = unet.load_cascade(ckpt)
-    cfg_small = unet.UNet3DConfig(base_channels=2, depth=2)
-    fresh = unet.init_cascade(config=cfg_small, seed=4)
+    cfg_small = unet.CascadeConfig(base_channels=2, depth=2, seed=4)
+    fresh = unet.init_cascade(config=cfg_small)
     for a, b in zip(loaded.nets, fresh.nets):
         for key in a:
             assert np.array_equal(a[key].data, b[key].data)
+
+
+def test_pretrain_checkpoint_records_the_effective_cascade_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("REGADAPT_SEED", raising=False)
+    ckpt = tmp_path / "c.ckpt"
+    argv = ["pretrain", "--synth-pairs", "1", "--dims", "8", "8", "8", "--pretrain-steps", "0",
+            "--variant", "single", "--update-mode", "add", "--scale-mode", "all_residuals",
+            "--output-scale", "0.02", "--seed", "6", "--out", str(ckpt), *SMALL]
+    assert cli.main(argv) == 0
+    cfg = cli._effective_config(cli.build_parser().parse_args(argv))
+    defaults = unet.CascadeConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(unet.CascadeConfig))
+    assert unet.load_cascade(ckpt).config == cfg.cascade_config()
 
 
 def test_pretrain_empty_dataset_exit_one(tmp_path):
@@ -543,6 +558,93 @@ def test_evaluate_batch_jobs_csv_equals_serial(tmp_path):
                        "--csv", str(out[jobs])])
         assert rc == 0
     assert out["1"].read_bytes() == out["2"].read_bytes()
+
+
+def test_evaluate_pool_is_sized_by_the_batch(tmp_path, capsys, monkeypatch):
+    asked = []
+
+    class RecordingPool:  # starts no process: maps in this one
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    d = _synth(tmp_path)
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    entry = {"field": str(d / "true_field.vol")}
+    one.write_text(json.dumps([entry]))
+    two.write_text(json.dumps([{**entry, "pair_id": "a"}, {**entry, "pair_id": "b"}]))
+    assert cli.main(["evaluate", "--batch", str(two), "--jobs", "8"]) == 0
+    assert cli.main(["evaluate", "--batch", str(one), "--jobs", "8"]) == 0
+    assert asked == [2]
+    for jobs in ("0", "-1"):
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--batch", str(two), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--jobs" in err[0]
+    assert asked == [2]
+
+
+def test_every_ioconfig_field_is_a_register_flag(monkeypatch):
+    monkeypatch.delenv("REGADAPT_SEED", raising=False)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["register"]._actions}
+    for f in dataclasses.fields(pl.IOConfig):
+        assert f.name in actions, f"IOConfig.{f.name} has no register flag"
+        action = actions[f.name]
+        if action.choices:
+            value = next(c for c in action.choices if c != f.default)
+        else:
+            value = f.default + (2 if f.type is int else 0.25)
+        args = parser.parse_args(["register", "--moving", "m", "--fixed", "f",
+                                  action.option_strings[0], str(value)])
+        assert getattr(cli._effective_config(args), f.name) == value != f.default, f.name
+
+
+def _labels_off_grid(tmp_path, d):
+    small = _synth(tmp_path, "small", dims=(10, 10, 10))
+    return (["register", "--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol"),
+             "--moving-labels", str(small / "labels.vol"), "--fixed-labels", str(d / "labels.vol"),
+             "--dice-every", "0"], small / "labels.vol")
+
+
+def _landmark_off_grid(tmp_path, d):
+    path = tmp_path / "lm.csv"
+    save_landmarks(LandmarkSet(moving=[[1, 1, 1]], fixed=[[30, 1, 1]]), path)
+    return (["register", "--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol"),
+             "--landmarks", str(path)], path)
+
+
+def _true_field_off_grid(tmp_path, d):
+    small = _synth(tmp_path, "small", dims=(10, 10, 10))
+    return (["baseline", "--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol"),
+             "--strategy", "backbone-only", "--true-field", str(small / "true_field.vol")],
+            small / "true_field.vol")
+
+
+@pytest.mark.parametrize("case", [_labels_off_grid, _landmark_off_grid, _true_field_off_grid],
+                         ids=["labels", "landmarks", "true-field"])
+def test_input_off_the_volume_grid_fails_before_registering(tmp_path, capsys, monkeypatch, case):
+    d = _synth(tmp_path)
+    argv, bad = case(tmp_path, d)
+    monkeypatch.setattr(pl, "backbone_predict", lambda *a, **k: pytest.fail("backbone ran"))
+    monkeypatch.setattr(losses, "modality_gate", lambda *a, **k: pytest.fail("gate ran"))
+    out = tmp_path / "out"
+    flag = "--out" if argv[0] == "baseline" else "--out-field"
+    capsys.readouterr()
+    rc = cli.main(argv + ["--steps", "1", flag, str(out), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and str(bad) in err[0]
+    assert not out.exists()
 
 
 def test_failing_external_style_is_one_line_input_error(tmp_path, capsys):

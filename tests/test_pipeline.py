@@ -387,6 +387,14 @@ def test_register_pair_at_depth_one_lowers_the_loss():
     assert np.all(np.isfinite(res.field.data)) and np.any(res.field.data != 0)
 
 
+@pytest.mark.parametrize("name", ["moving_labels", "fixed_labels"])
+def test_register_pair_rejects_labels_off_the_volume_grid(prob, monkeypatch, name):
+    monkeypatch.setattr(losses, "modality_gate", lambda *a, **k: pytest.fail("gate ran"))
+    labels = synth_problem(1, dims=(8, 8, 8)).labels
+    with pytest.raises(ValueError, match=f"{name} dims"):
+        pl.register_pair(prob.phantom, prob.fixed, cfg=small_cfg(), **{name: labels})
+
+
 # pretraining
 
 
@@ -414,7 +422,7 @@ def test_pretrain_deterministic(prob):
 
 def test_pretrain_empty_list():
     with pytest.raises(ValueError, match="empty"):
-        pl.pretrain_refiners([], unet.init_cascade(seed=0), steps=1, lr=1e-5)
+        pl.pretrain_refiners([], unet.init_cascade(unet.CascadeConfig(seed=0)), steps=1, lr=1e-5)
 
 
 def test_pretrain_negative_steps_rejected(prob):

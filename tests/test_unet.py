@@ -21,7 +21,7 @@ RNG = np.random.default_rng(31)
 
 
 def test_zero_init_outputs_exact_zero():
-    cfg = unet.UNet3DConfig(base_channels=4, depth=2)
+    cfg = unet.CascadeConfig(base_channels=4, depth=2)
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 8, 8, 8)).astype(np.float32))
     b = ad.DiffTensor(RNG.standard_normal((1, 1, 8, 8, 8)).astype(np.float32))
@@ -32,7 +32,7 @@ def test_zero_init_outputs_exact_zero():
 
 def test_output_dims_preserved_at_quarter_scale():
     # quarter scale of the deployment grid (160,224,192)
-    cfg = unet.UNet3DConfig(base_channels=2, depth=3)
+    cfg = unet.CascadeConfig(base_channels=2, depth=3)
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(np.zeros((1, 1, 40, 56, 48), np.float32))
     b = ad.DiffTensor(np.zeros((1, 1, 40, 56, 48), np.float32))
@@ -41,7 +41,7 @@ def test_output_dims_preserved_at_quarter_scale():
 
 
 def test_odd_dims_padded_and_cropped():
-    cfg = unet.UNet3DConfig(base_channels=2, depth=3)
+    cfg = unet.CascadeConfig(base_channels=2, depth=3)
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
     b = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
@@ -58,7 +58,7 @@ def test_unet_convolves_the_unpadded_grid(monkeypatch):
         return conv3d(x, kernel, **kwargs)
 
     monkeypatch.setattr(ad, "conv3d", spy)
-    cfg = unet.UNet3DConfig(base_channels=2, depth=3)
+    cfg = unet.CascadeConfig(base_channels=2, depth=3)
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
     unet.unet_forward(params, a, a, cfg)
@@ -69,7 +69,7 @@ def test_unet_convolves_the_unpadded_grid(monkeypatch):
 
 
 def test_param_count_closed_form():
-    cfg = unet.UNet3DConfig()  # base 32, depth 3
+    cfg = unet.CascadeConfig()  # base 32, depth 3
     # independent tally over the stated layer list
     convs = [
         (32, 2, 3), (32, 32, 3),        # enc1
@@ -87,7 +87,7 @@ def test_param_count_closed_form():
 
 
 def test_depth_one_is_one_level_and_the_final_projection():
-    cfg = unet.UNet3DConfig(depth=1)  # base 32, no pooling, no decoder
+    cfg = unet.CascadeConfig(depth=1)  # base 32, no pooling, no decoder
     assert unet._conv_layers(cfg) == [
         ("enc1.conv1", 32, 2, 3), ("enc1.conv2", 32, 32, 3), ("final", 3, 32, 1)]
     expect = (32 * 2 * 27 + 32) + (32 * 32 * 27 + 32) + (3 * 32 + 3)
@@ -98,24 +98,24 @@ def test_depth_one_is_one_level_and_the_final_projection():
 
 
 def test_init_deterministic_in_seed():
-    a = unet.init_cascade(seed=9)
-    b = unet.init_cascade(seed=9)
+    a = unet.init_cascade(unet.CascadeConfig(seed=9))
+    b = unet.init_cascade(unet.CascadeConfig(seed=9))
     for na, nb in zip(a.nets, b.nets):
         for key in na:
             assert np.array_equal(na[key].data, nb[key].data)
-    c = unet.init_cascade(seed=10)
+    c = unet.init_cascade(unet.CascadeConfig(seed=10))
     assert not np.array_equal(a.nets[0]["enc1.conv1.w"].data,
                               c.nets[0]["enc1.conv1.w"].data)
 
 
 def test_single_variant_shape():
-    c = unet.init_cascade(seed=0, variant="single")
+    c = unet.init_cascade(unet.CascadeConfig(seed=0, variant="single"))
     assert len(c.nets) == 1
     assert c.scales == (1.0,)
 
 
 def test_cascade_scales_are_quarter_half_full():
-    c = unet.init_cascade(seed=0)
+    c = unet.init_cascade(unet.CascadeConfig(seed=0))
     assert c.scales == (0.25, 0.5, 1.0)
     assert len(c.nets) == 3
 
@@ -127,7 +127,7 @@ def test_cascade_scales_are_quarter_half_full():
 def test_fresh_cascade_identity(variant, mode):
     p = synth_problem(3, dims=(16, 16, 16))
     phi0 = DisplacementField(RNG.uniform(-0.2, 0.2, (3, 16, 16, 16)).astype(np.float32))
-    casc = unet.init_cascade(seed=1, variant=variant, update_mode=mode)
+    casc = unet.init_cascade(unet.CascadeConfig(seed=1, variant=variant, update_mode=mode))
     phis, warps = unet.cascade_forward(phi0, p.phantom, p.fixed, casc)
     assert len(phis) == len(casc.scales)
     for ph in phis:
@@ -136,7 +136,7 @@ def test_fresh_cascade_identity(variant, mode):
 
 def test_output_scale_zero_freezes_finest_stage():
     p = synth_problem(3, dims=(16, 16, 16))
-    casc = unet.init_cascade(seed=2, output_scale=0.0)
+    casc = unet.init_cascade(unet.CascadeConfig(seed=2, output_scale=0.0))
     rng = np.random.default_rng(5)
     for net in casc.nets:
         net["final.w"].data[:] = rng.standard_normal(net["final.w"].shape).astype(np.float32) * 0.05
@@ -150,7 +150,7 @@ def test_constant_residual_compose_equals_add():
     p = synth_problem(4, dims=(12, 12, 12))
     results = {}
     for mode in ("compose", "add"):
-        casc = unet.init_cascade(seed=3, variant="single", update_mode=mode)
+        casc = unet.init_cascade(unet.CascadeConfig(seed=3, variant="single", update_mode=mode))
         casc.nets[0]["final.b"].data[:] = np.array([0.2, -0.1, 0.3], np.float32).reshape(1, 3, 1, 1, 1)
         phis, _ = unet.cascade_forward(DisplacementField.zero((12, 12, 12)),
                                        p.phantom, p.fixed, casc)
@@ -160,7 +160,7 @@ def test_constant_residual_compose_equals_add():
 
 def test_gradients_reach_every_net():
     p = synth_problem(5, dims=(16, 16, 16))
-    casc = unet.init_cascade(seed=4)
+    casc = unet.init_cascade(unet.CascadeConfig(seed=4))
     rng = np.random.default_rng(6)
     for net in casc.nets:
         net["final.w"].data[:] = rng.standard_normal(net["final.w"].shape).astype(np.float32) * 0.01
@@ -176,7 +176,7 @@ def _default_cascade_loss(n=16):
     """Loss graph of a default cascade on an n^3 pair, with the nodes
     cascade_forward returned and the cascade."""
     p = synth_problem(5, dims=(n, n, n))
-    casc = unet.init_cascade(seed=4)
+    casc = unet.init_cascade(unet.CascadeConfig(seed=4))
     phis, warps = unet.cascade_forward(DisplacementField.zero((n, n, n)),
                                        p.phantom, p.fixed, casc)
     loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1])
@@ -261,10 +261,21 @@ def test_forward_graph_drops_conv_outputs_and_decoder_resizes():
         assert node.data.strides == (0,) * 5 and node.data.base.nbytes == node.data.itemsize
 
 
-def test_unet_gradcheck_small():
-    cfg = unet.UNet3DConfig(base_channels=2, depth=2, zero_init_final=False)
-    rng = np.random.default_rng(8)
+def _init_with_final_drawn(cfg, rng):
+    """init_unet_params, then final.w drawn from rng as a hidden weight is
+    (He, std sqrt(2 / fan_in)) rather than left at zero. final.w is the last
+    weight init_unet_params would draw, so the draws run in the same order."""
     params = unet.init_unet_params(cfg, rng)
+    shape = params["final.w"].shape
+    std = math.sqrt(2.0 / math.prod(shape[1:]))
+    params["final.w"].data[:] = (rng.standard_normal(shape) * std).astype(np.float32)
+    return params
+
+
+def test_unet_gradcheck_small():
+    cfg = unet.CascadeConfig(base_channels=2, depth=2)
+    rng = np.random.default_rng(8)
+    params = _init_with_final_drawn(cfg, rng)
     a = rng.standard_normal((1, 1, 8, 8, 8))
     b = rng.standard_normal((1, 1, 8, 8, 8))
 
@@ -288,10 +299,10 @@ def test_unet_gradcheck_small():
 
 def test_unet_gradcheck_ragged_pooling():
     # 5x6x7 at depth 2: every pooling has a ragged tail on some axis
-    cfg = unet.UNet3DConfig(base_channels=2, depth=2, zero_init_final=False)
+    cfg = unet.CascadeConfig(base_channels=2, depth=2)
     rng = np.random.default_rng(9)
     params = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
-              for k, p in unet.init_unet_params(cfg, rng).items()}
+              for k, p in _init_with_final_drawn(cfg, rng).items()}
     a = rng.standard_normal((1, 1, 5, 6, 7))
     b = rng.standard_normal((1, 1, 5, 6, 7))
 
@@ -307,10 +318,10 @@ def test_unet_gradcheck_ragged_pooling():
 
 def test_unet_gradcheck_depth_one():
     # a single level: no pooling, no skip, no resize
-    cfg = unet.UNet3DConfig(base_channels=2, depth=1, zero_init_final=False)
+    cfg = unet.CascadeConfig(base_channels=2, depth=1)
     rng = np.random.default_rng(10)
     params = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
-              for k, p in unet.init_unet_params(cfg, rng).items()}
+              for k, p in _init_with_final_drawn(cfg, rng).items()}
     assert sorted(params) == ["enc1.conv1.b", "enc1.conv1.w", "enc1.conv2.b", "enc1.conv2.w",
                               "final.b", "final.w"]
     a = rng.standard_normal((1, 1, 5, 6, 7))
@@ -327,17 +338,17 @@ def test_unet_gradcheck_depth_one():
 
 
 def test_cascade_checkpoint_round_trip(tmp_path):
-    casc = unet.init_cascade(seed=11, variant="cascade", update_mode="add",
-                             scale_mode="all_residuals", output_scale=0.02)
+    casc = unet.init_cascade(unet.CascadeConfig(seed=11, variant="cascade", update_mode="add",
+                                                scale_mode="all_residuals", output_scale=0.02))
     rng = np.random.default_rng(1)
     for net in casc.nets:
         net["final.w"].data[:] = rng.standard_normal(net["final.w"].shape).astype(np.float32)
     path = tmp_path / "cascade.ckpt"
     unet.save_cascade(casc, path)
     again = unet.load_cascade(path)
-    assert again.update_mode == "add"
-    assert again.scale_mode == "all_residuals"
-    assert again.output_scale == 0.02
+    assert again.config.update_mode == "add"
+    assert again.config.scale_mode == "all_residuals"
+    assert again.config.output_scale == 0.02
     assert again.config.base_channels == casc.config.base_channels
     for na, nb in zip(casc.nets, again.nets):
         for key in na:
@@ -346,11 +357,12 @@ def test_cascade_checkpoint_round_trip(tmp_path):
 
 
 def test_cascade_checkpoint_keeps_every_config_field(tmp_path):
-    cfg = unet.UNet3DConfig(base_channels=4, depth=2, zero_init_final=False)
-    defaults = unet.UNet3DConfig()
+    cfg = unet.CascadeConfig(variant="single", update_mode="add", scale_mode="all_residuals",
+                             output_scale=0.02, base_channels=4, depth=2, seed=5)
+    defaults = unet.CascadeConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
-               for f in dataclasses.fields(unet.UNet3DConfig))
-    casc = unet.init_cascade(config=cfg, seed=5)
+               for f in dataclasses.fields(unet.CascadeConfig))
+    casc = unet.init_cascade(config=cfg)
     path = tmp_path / "cascade.ckpt"
     unet.save_cascade(casc, path)
     assert unet.load_cascade(path).config == casc.config
@@ -358,7 +370,7 @@ def test_cascade_checkpoint_keeps_every_config_field(tmp_path):
 
 def test_cascade_checkpoint_rejects_edited_meta(tmp_path):
     path = tmp_path / "cascade.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=1)), path)
     manifest_path = tmp_path / "cascade.ckpt.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["meta"]["output_scale"] = 0.5
@@ -367,26 +379,30 @@ def test_cascade_checkpoint_rejects_edited_meta(tmp_path):
         unet.load_cascade(path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda meta: meta.update(instance_norm=True),  # a key no cascade writes
-    lambda meta: meta.pop("seed"),
-    lambda meta: meta.pop("zero_init_final"),
-], ids=["extra", "missing-cascade-key", "missing-network-key"])
-def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit):
+@pytest.mark.parametrize("edit, keys", [
+    (lambda meta: meta.update(instance_norm=True), ["instance_norm"]),  # a key no cascade writes
+    (lambda meta: meta.pop("seed"), ["seed"]),
+    (lambda meta: meta.pop("depth"), ["depth"]),
+    # a meta written before CascadeConfig, which also held these two keys
+    (lambda meta: meta.update(scales=[0.25, 0.5, 1.0], zero_init_final=True),
+     ["scales", "zero_init_final"]),
+], ids=["extra", "missing-cascade-key", "missing-network-key", "older-meta"])
+def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit, keys):
     path = tmp_path / "cascade.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=1)), path)
     manifest_path = tmp_path / "cascade.ckpt.json"
     manifest = json.loads(manifest_path.read_text())
     edit(manifest["meta"])
     manifest["config_hash"] = vio.config_hash(manifest["meta"])
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="meta keys"):
+    with pytest.raises(ValueError, match="meta keys") as err:
         unet.load_cascade(path)
+    assert all(repr(key) in str(err.value) for key in keys)
 
 
 def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
     path = tmp_path / "cascade.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=1)), path)
     with open(path, "ab") as f:
         f.write(b"\0")
     with pytest.raises(ValueError, match="bytes"):
@@ -394,7 +410,7 @@ def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
 
 def _small_checkpoint(tmp_path):
     path = tmp_path / "cascade.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=1)), path)
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=1)), path)
     return path, tmp_path / "cascade.ckpt.json"
 
 
@@ -477,7 +493,7 @@ def _drop(arrays):
 ], ids=["parent-coarsest-level", "renamed", "reshaped", "fourth-net", "missing"])
 def test_cascade_checkpoint_rejects_parameters_the_cascade_lacks(tmp_path, edit, words):
     path = tmp_path / "cascade.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=2, depth=3)),
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=3)),
                       path)
     _rewrite_params(path, edit)
     with pytest.raises(vio.VolumeIOError, match=words) as err:
@@ -494,15 +510,12 @@ def test_checkpoint_manifest_that_is_not_json_names_its_path(tmp_path):
 
 def test_cascade_validation():
     with pytest.raises(ValueError, match="variant"):
-        unet.RefineCascade(nets=[{}], config=unet.UNet3DConfig(), scales=(1.0,),
-                           variant="bogus")
+        unet.CascadeConfig(variant="bogus")
     with pytest.raises(ValueError, match="needs"):
-        unet.RefineCascade(nets=[{}, {}], config=unet.UNet3DConfig(),
-                           scales=(0.5, 1.0), variant="single")
+        unet.RefineCascade(nets=[{}, {}], config=unet.CascadeConfig(variant="single"))
 
 
 @pytest.mark.parametrize("name", ["variant", "update_mode", "scale_mode"])
 def test_cascade_rejects_unknown_mode(name):
     with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
-        unet.RefineCascade(nets=[{}], config=unet.UNet3DConfig(), scales=(1.0,),
-                           **{"variant": "single", name: "bogus"})
+        unet.CascadeConfig(**{"variant": "single", name: "bogus"})

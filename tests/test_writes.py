@@ -71,8 +71,8 @@ def test_shorter_field_and_manifest_overwrite(tmp_path):
 
 def test_shorter_checkpoint_overwrite(tmp_path):
     path = tmp_path / "c.ckpt"
-    unet.save_cascade(unet.init_cascade(config=unet.UNet3DConfig(base_channels=16)), path)
-    small = unet.init_cascade(config=unet.UNet3DConfig(base_channels=8), seed=3)
+    unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=16)), path)
+    small = unet.init_cascade(config=unet.CascadeConfig(base_channels=8, seed=3))
     unet.save_cascade(small, path)
     params = small.named_params()
     assert path.stat().st_size == sum(4 * p.data.size for p in params.values())
