@@ -7,13 +7,12 @@ sampling. Composition follows that convention: applying residual r after
 prev p gives u_out(x) = u_r(x) + u_p(x + u_r(x)), so warping once by the
 composed field matches re-warping the previous result.
 
-Trilinear sampling is exact for constants and at grid points. It takes
-the lower corner floor(p), so the fraction t lies in [0, 1) and is exactly
-0 on grid points, the last plane included, and it forms nested lerps
-a + t * (b - a): a constant input has b - a == 0, and t == 0 returns a.
-Warps and point samples share this one kernel. The gradient wrt the field
-keeps a one-sided slope on the last plane: _cells(one_sided=True) samples
-it from the cell below, with t == 1.
+Trilinear sampling is exact for constants and at grid points. It forms
+nested lerps a + t * (b - a) in the cell of floor(p), so t is exactly 0 on
+grid points and a constant input has b - a == 0. A last-plane sample uses
+the cell below, with t == 1, so the field gradient keeps a one-sided slope
+there; its value takes a = b first, so it stays exact. Warps and point
+samples share this kernel, which gathers each corner once per call.
 """
 
 import dataclasses
@@ -76,28 +75,27 @@ def _sample_prep(dims, pos):
     for p, s in zip(pos, dims):
         inb.append((p >= 0) & (p <= s - 1))
         p = np.clip(p, 0.0, s - 1.0)
-        base = np.clip(np.floor(p).astype(itype), 0, s - 1)
-        i0.append(base)
-        t.append((p - base).astype(pos.dtype))
+        base = np.floor(p)
+        i0.append(base.astype(itype))
+        t.append(p - base)  # exact, in p's dtype
     return i0, t, inb
 
 
-def _cells(i0, t, dims, one_sided=False):
-    """Flat lower corners, per-axis steps to the upper corners and fractions.
+def _cells(i0, t, dims):
+    """One-sided cells: flat lower corners, scalar steps to the upper corners
+    (0 on a size-1 axis), fractions in [0, 1] and last-plane masks, per axis.
 
-    A sample on the last plane has t == 0 and a zero step. With one_sided it
-    uses the cell below instead, with t == 1, so its slope is one-sided.
+    A sample on the last plane uses the cell below, with fraction 1, so its
+    slope is one-sided; _lerp3 returns its upper corner exactly.
     """
     D, H, W = dims
-    lo, steps, tt = [], [], []
+    lo, steps, tt, edges = [], [], [], []
     for base, ta, s, stride in zip(i0, t, dims, (H * W, W, 1)):
-        if one_sided:
-            edge = base > max(s - 2, 0)
-            base, ta = base - edge, ta + edge
-        lo.append(base)
-        tt.append(ta)
-        steps.append((base < s - 1) * np.int32(stride))
-    return (lo[0] * H + lo[1]) * W + lo[2], steps, tt
+        edges.append(base > max(s - 2, 0))
+        lo.append(base - edges[-1])
+        tt.append(ta + edges[-1])
+        steps.append(stride if s > 1 else 0)
+    return (lo[0] * H + lo[1]) * W + lo[2], steps, tt, edges
 
 
 def _lerp(lo, hi, t):
@@ -108,30 +106,41 @@ def _lerp(lo, hi, t):
     return hi
 
 
-def _lerp3(vol_flat, f0, steps, t, slopes=False, a=0):
-    """Trilinear values (C,) + f0.shape of vol_flat (C, n) in the cells
-    (f0, steps, t), as nested lerps along W, then H, then D. With slopes, also
-    returns [d/dt_D, d/dt_H, d/dt_W] of the values, else [].
+def _lerp3(vol_flat, f0, steps, tt, edges, slopes=False, a=0):
+    """Trilinear values (C,) + f0.shape of vol_flat (C, n) in the cells of
+    _cells, as nested lerps along W, then H, then D, each corner gathered
+    once. Returns (values, values at tt, slopes): with slopes, the slopes
+    [d/dt_D, d/dt_H, d/dt_W] at tt from the same gathers and the values at
+    tt that the level above takes its slope from (None at the top), else []
+    and None. A last-plane sample takes lo = hi first, so it returns its
+    grid value exactly.
 
     Recurses over the axes from a, f0 being the corners fixed before it. It
     is not a closure: a recursive closure is a reference cycle, which keeps
     the gathers alive until the cyclic collector runs.
     """
     if a == 3:
-        at = vol_flat[:, f0.ravel()].reshape((vol_flat.shape[0],) + f0.shape)
-        return at.astype(np.result_type(vol_flat.dtype, t[0].dtype), copy=False), []
-    lo, dlo = _lerp3(vol_flat, f0, steps, t, slopes, a + 1)
-    hi, dhi = _lerp3(vol_flat, f0 + steps[a], steps, t, slopes, a + 1)
-    if not slopes:
-        return _lerp(lo, hi, t[a]), []
-    diff = hi - lo
-    return lo + t[a] * diff, [diff] + [_lerp(l, h, t[a]) for l, h in zip(dlo, dhi)]
+        at = np.take(vol_flat, f0, axis=1)
+        at = at.astype(np.result_type(vol_flat.dtype, tt[0].dtype), copy=False)
+        return at, at, []
+    lo, lo_s, dlo = _lerp3(vol_flat, f0, steps, tt, edges, slopes, a + 1)
+    hi, hi_s, dhi = _lerp3(vol_flat, f0 + steps[a], steps, tt, edges, slopes, a + 1)
+    at_tt, ds = None, []
+    if slopes:  # before lo and hi change in place: at the last level they are lo_s and hi_s
+        diff = hi_s - lo_s
+        ds = [diff] + [_lerp(l, h, tt[a]) for l, h in zip(dlo, dhi)]
+        if a:
+            at_tt = lo_s + tt[a] * diff
+    np.copyto(lo, hi, where=edges[a])
+    return _lerp(lo, hi, tt[a]), at_tt, ds
 
 
 def warp_tensor(v, u):
     """Differentiable warp: v (N, C, D, H, W) sampled at x + u, u (N, 3, D, H, W).
 
     Arrays, Volume3D and DisplacementField inputs are lifted to graph leaves.
+    The forward keeps what the backward reads: the field slopes, zeroed past
+    a face, if u needs a gradient, and the cells if v does.
     """
     v, u = ad._lift(v), ad._lift(u)
     if v.shape[0] != 1 or u.shape[0] != 1 or u.shape[1] != 3:
@@ -141,15 +150,17 @@ def warp_tensor(v, u):
         raise ValueError(f"warp: dims mismatch {v.shape[2:]} vs {u.shape[2:]}")
     C = v.shape[1]
     i0, t, inb = _sample_prep(dims, _grid(dims, u.dtype) + u.data[0])
+    f0, steps, tt, edges = _cells(i0, t, dims)
     vol_flat = v.data[0].reshape(C, -1)
-    out = _lerp3(vol_flat, *_cells(i0, t, dims))[0][None]
+    out, _, slopes = _lerp3(vol_flat, f0, steps, tt, edges, slopes=u.requires_grad)
+    for s, m in zip(slopes, inb):
+        s *= m
+    f0, tt = (f0, tt) if v.requires_grad else (None, None)
 
     def bwd(g):
         g0 = g[0]  # (C, D, H, W)
-        f0, steps, tt = _cells(i0, t, dims, one_sided=True)
         if u.requires_grad:
-            slopes = _lerp3(vol_flat, f0, steps, tt, slopes=True)[1]
-            gu = np.stack([(s * g0).sum(axis=0) * m for s, m in zip(slopes, inb)])
+            gu = np.stack([(s * g0).sum(axis=0) for s in slopes])
             u.accumulate_grad(gu[None].astype(u.dtype, copy=False))
         if v.requires_grad:
             # adjoint of the lerps: each of the 8 corners takes its weight times
@@ -166,7 +177,7 @@ def warp_tensor(v, u):
                                        minlength=vol_flat.shape[1]) for gc in g0])
             v.accumulate_grad(gv.reshape((1, C) + dims).astype(v.dtype, copy=False))
 
-    return ad._result(out, (v, u), bwd, "warp")
+    return ad._result(out[None], (v, u), bwd, "warp")
 
 
 def _like(t, x):

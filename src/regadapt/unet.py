@@ -262,7 +262,10 @@ def load_cascade(path):
     if set(meta) != want:
         raise VolumeIOError(f"checkpoint {path}: meta keys differ from a cascade's: "
                             f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
-    cfg = CascadeConfig(**meta)
+    try:
+        cfg = CascadeConfig(**meta)
+    except (ValueError, TypeError) as e:
+        raise VolumeIOError(f"checkpoint {path}: {e}") from None
     shapes = _param_shapes(cfg)
     net_ids = range(1, len(cfg.scales) + 1)
     want = {f"net{t}.{name}": shape for t in net_ids for name, shape in shapes.items()}

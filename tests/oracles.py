@@ -6,6 +6,8 @@ scalar graph nodes at the end, mean_square and inner, are the losses the
 gradient checks end in; the library has no such ops.
 """
 
+import itertools
+
 import numpy as np
 from scipy.ndimage import correlate as ndi_correlate
 
@@ -82,6 +84,41 @@ def warp_oracle(vol, disp):
                                              min(i0[1] + b, H - 1),
                                              min(i0[2] + c, W - 1)]
                 out[d, h, w] = acc
+    return out
+
+
+def warp_field_grad_oracle(vol, pos, g):
+    """Gradient wrt the field of sum(g * warp(vol)), vol and g (C, D, H, W),
+    sampled at the absolute positions pos (3, D, H, W), per voxel in float64.
+
+    Component a is the slope along axis a of the trilinear interpolant at the
+    clamped sample, taken in the cell whose lower corner is floor(p) capped at
+    s - 2: on the last plane that is the one-sided difference v[s-1] - v[s-2],
+    lerped along the other axes. It is 0 past a face (p < 0 or p > s - 1)
+    and along a size-1 axis.
+    """
+    dims = np.array(vol.shape[1:])
+    out = np.zeros((3,) + vol.shape[1:])
+    for idx in np.ndindex(vol.shape[1:]):
+        p = pos[(slice(None),) + idx]
+        q = np.clip(p, 0, dims - 1)
+        i0 = np.maximum(np.minimum(np.floor(q).astype(int), dims - 2), 0)
+        t = q - i0
+        gv = g[(slice(None),) + idx]
+        for a in range(3):
+            if not 0 <= p[a] <= dims[a] - 1:
+                continue
+            acc = 0.0
+            for corner in itertools.product((0, 1), repeat=3):
+                wgt = 1.0
+                for b in range(3):
+                    if b == a:
+                        wgt *= 1.0 if corner[b] else -1.0
+                    else:
+                        wgt *= t[b] if corner[b] else 1.0 - t[b]
+                j = tuple(np.minimum(i0 + corner, dims - 1))
+                acc += wgt * float(gv @ vol[(slice(None),) + j])
+            out[(a,) + idx] = acc
     return out
 
 

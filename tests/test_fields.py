@@ -8,7 +8,7 @@ from regadapt import fields as fa
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import Volume3D, synth_problem
 
-from oracles import fd_gradient, inner, max_rel_err, warp_oracle
+from oracles import fd_gradient, inner, max_rel_err, warp_field_grad_oracle, warp_oracle
 
 RNG = np.random.default_rng(99)
 
@@ -127,6 +127,61 @@ def test_points_and_warp_share_one_kernel():
     pts = (np.indices(dims) + d).reshape(3, -1).T
     got = fa.sample_field_at_points(u, pts)
     assert np.array_equal(got.T.reshape(u.shape), fa.warp(u, d))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_warp_field_gradient_is_one_sided_on_last_planes(dtype, tol):
+    dims = (4, 5, 3)
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((1, 2) + dims).astype(dtype)
+    g = rng.standard_normal((1, 2) + dims).astype(dtype)
+    u0 = _past_faces_and_onto_last_planes(dims, 13).astype(dtype)
+    ut = ad.DiffTensor(u0, requires_grad=True)
+    inner(fa.warp_tensor(ad.DiffTensor(v), ut), g).backward()
+    pos = np.indices(dims).astype(dtype) + u0[0]  # the kernel's positions, exact in float64
+    ref = warp_field_grad_oracle(v[0].astype(np.float64), pos.astype(np.float64),
+                                 g[0].astype(np.float64))
+    assert ut.grad.dtype == dtype
+    assert np.abs(ut.grad[0] - ref).max() <= tol * np.abs(ref).max()
+    for a, s in enumerate(dims):
+        on_last, past = pos[a] == s - 1, (pos[a] < 0) | (pos[a] > s - 1)
+        assert on_last.sum() >= 4 and past.any()
+        assert np.all(ut.grad[0, a][past] == 0)
+        assert np.all(ut.grad[0, a][on_last] != 0)
+
+
+def test_warp_three_channel_float32_matches_oracle_and_keeps_grid_values():
+    dims = (5, 4, 6)
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal((3,) + dims).astype(np.float32)
+    d = _past_faces_and_onto_last_planes(dims, 15)[0].astype(np.float32)
+    got = fa.warp(v, d)
+    assert got.dtype == np.float32
+    for c in range(3):
+        assert np.allclose(got[c], warp_oracle(v[c].astype(np.float64), d.astype(np.float64)),
+                           rtol=1e-5, atol=1e-5)
+    # on grid points, last planes and clamped samples included, the grid values bit for bit
+    d = np.round(d)
+    idx = [np.clip(np.indices(dims)[a] + d[a].astype(int), 0, s - 1) for a, s in enumerate(dims)]
+    assert all((i == s - 1).any() for i, s in zip(idx, dims))
+    assert np.array_equal(fa.warp(v, d), v[:, idx[0], idx[1], idx[2]])
+
+
+@pytest.mark.parametrize("dims", [(1, 6, 5), (5, 1, 4), (3, 4, 1)])
+def test_warp_size_one_axes_sample_and_backpropagate(dims):
+    rng = np.random.default_rng(16)
+    v0 = rng.standard_normal((1, 2) + dims)
+    u0 = rng.uniform(-1.5, 1.5, (1, 3) + dims)
+    g = rng.standard_normal((1, 2) + dims)
+    vt, ut = ad.DiffTensor(v0, requires_grad=True), ad.DiffTensor(u0, requires_grad=True)
+    out = fa.warp_tensor(vt, ut)
+    for c in range(2):
+        assert max_rel_err(out.data[0, c], warp_oracle(v0[0, c], u0[0])) < 1e-10
+    inner(out, g).backward()
+    ref = warp_field_grad_oracle(v0[0], np.indices(dims) + u0[0], g[0])
+    assert np.allclose(ut.grad[0], ref, rtol=1e-10, atol=1e-12)
+    assert np.all(ut.grad[0, dims.index(1)] == 0)
+    _vjp_check(lambda xt: fa.warp_tensor(xt, ad.DiffTensor(u0)), v0, 17)
 
 
 def test_compose_zero_zero():

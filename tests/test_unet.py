@@ -400,6 +400,23 @@ def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit, keys):
     assert all(repr(key) in str(err.value) for key in keys)
 
 
+@pytest.mark.parametrize("key, value, words", [
+    ("depth", 0, "depth and base_channels must be >= 1"),
+    ("variant", "bogus", "unknown variant 'bogus'"),
+    ("depth", "3", "not supported"),  # a str against an int: CascadeConfig's TypeError
+], ids=["depth-0", "unknown-variant", "depth-str"])
+def test_cascade_checkpoint_with_a_bad_setting_names_its_file(tmp_path, key, value, words):
+    path, manifest_path = _small_checkpoint(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["meta"][key] = value
+    manifest["config_hash"] = vio.config_hash(manifest["meta"])
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(vio.VolumeIOError, match=words) as err:
+        unet.load_cascade(path)
+    assert str(err.value).startswith(f"checkpoint {path}: ")
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_cascade_checkpoint_rejects_extra_payload(tmp_path):
     path = tmp_path / "cascade.ckpt"
     unet.save_cascade(unet.init_cascade(config=unet.CascadeConfig(base_channels=2, depth=1)), path)
