@@ -7,7 +7,6 @@ thresholds keeps large blocks on the heap where they are reused.
 """
 
 import ctypes
-import ctypes.util
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -17,11 +16,12 @@ _THRESHOLD = 1 << 30
 def tune_allocator() -> bool:
     """Raise glibc malloc thresholds. Safe no-op on non-glibc platforms.
 
-    The package calls it once, at import.
+    The package calls it once, at import. mallopt is resolved in the running
+    process (dlopen of NULL), which finds the C library already loaded and
+    starts no process, as a library search by name would.
     """
     try:
-        name = ctypes.util.find_library("c") or "libc.so.6"
-        libc = ctypes.CDLL(name)
+        libc = ctypes.CDLL(None)
         ok = libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD)
         ok &= libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD)
         return bool(ok)

@@ -113,6 +113,15 @@ def modality_gate(a, b, window=11, tau=0.4, down=4):
 # diffusion regularizer
 
 
+def _diff_adjoint(d, axis, out):
+    """out = np.diff(d, axis, prepend=0, append=0), written in place."""
+    o, d = np.moveaxis(out, axis, 0), np.moveaxis(d, axis, 0)
+    o[:-1] = d
+    o[-1] = 0
+    o[1:] -= d
+    return out
+
+
 def diffusion_reg(u):
     """Mean squared forward difference of the field over axes and components.
 
@@ -128,9 +137,12 @@ def diffusion_reg(u):
     total = sum(np.square(d).sum(dtype=np.float64) for d in diffs)
 
     def bwd(g):
-        zero, c = ut.dtype.type(0), ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
-        ut.accumulate_grad(c * sum(np.diff(d, axis=axis, prepend=zero, append=zero)
-                                   for axis, d in zip((2, 3, 4), diffs)), own=True)
+        grad, term = np.empty_like(ut.data), np.empty_like(ut.data)
+        _diff_adjoint(diffs[0], 2, grad)
+        for axis, d in zip((3, 4), diffs[1:]):
+            grad += _diff_adjoint(d, axis, term)
+        grad *= ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
+        ut.accumulate_grad(grad, own=True)
 
     reg = ad._result(np.full((1,) * 5, total / count, ut.dtype), (ut,), bwd, "diffusion")
     return reg if isinstance(u, DiffTensor) else reg.item()

@@ -6,13 +6,15 @@ a surface voxel is foreground with at least one six-connected background
 neighbor (out-of-volume counts as background); TRE maps each fixed-image
 landmark q through phi, i.e. (q_vox + u(q_vox)) * spacing, and measures
 the distance to its moving-image partner. Folding (NDV) lives in fields.
+
+SciPy's KD-tree is imported inside hd95, so it loads at the first HD95 of
+a process; importing this module loads NumPy only.
 """
 
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fields as fa
 from .autodiff import _array_of
@@ -58,6 +60,8 @@ def _surface_voxels(mask):
 
 def hd95(a_mask, b_mask, spacing):
     """95th percentile of pooled surface-to-surface nearest distances in mm."""
+    from scipy.spatial import cKDTree
+
     a_mask = np.asarray(a_mask, dtype=bool)
     b_mask = np.asarray(b_mask, dtype=bool)
     if not a_mask.any() or not b_mask.any():

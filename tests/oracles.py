@@ -134,6 +134,31 @@ def diffusion_oracle(u):
     return total / count
 
 
+def surface_distances_oracle(a_mask, b_mask, spacing):
+    """Pooled surface-to-surface nearest distances in mm, by brute force.
+
+    A surface voxel is foreground with a six-connected neighbor that is
+    background or off the grid; every pair of surface points is measured in
+    float64 and each point keeps its nearest partner on the other surface.
+    """
+    def surface(mask):
+        pts = []
+        for idx in itertools.product(*map(range, mask.shape)):
+            if not mask[idx]:
+                continue
+            for axis, step in itertools.product(range(3), (-1, 1)):
+                nb = list(idx)
+                nb[axis] += step
+                if not 0 <= nb[axis] < mask.shape[axis] or not mask[tuple(nb)]:
+                    pts.append(idx)
+                    break
+        return np.array(pts, dtype=np.float64) * np.asarray(spacing, dtype=np.float64)
+
+    sa, sb = surface(a_mask), surface(b_mask)
+    d = np.sqrt(((sa[:, None, :] - sb[None, :, :]) ** 2).sum(axis=-1))
+    return np.concatenate([d.min(axis=1), d.min(axis=0)])
+
+
 def lncc_oracle(a, b, window, eps=1e-5):
     """LNCC via dense 3D Gaussian correlation (scipy), zero-padded."""
     r = (window - 1) // 2

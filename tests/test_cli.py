@@ -756,3 +756,61 @@ def test_baseline_numerical_abort_exits_two_and_writes_out(tmp_path, capsys, mon
     err = capsys.readouterr().err.splitlines()
     assert rc == 2 and len(err) == 1 and err[0].startswith("numerical abort: ")
     assert json.loads(out.read_text())["pipeline_error"] == err[0][len("numerical abort: "):]
+
+
+_IMPORT_PROBE = """
+import json, pkgutil, subprocess, sys
+started = []
+_popen_init = subprocess.Popen.__init__
+
+
+def _spy(self, *args, **kwargs):
+    started.append(repr(args[0] if args else kwargs.get("args")))
+    _popen_init(self, *args, **kwargs)
+
+
+subprocess.Popen.__init__ = _spy
+import numpy as np
+import regadapt
+names = sorted(m.name for m in pkgutil.iter_modules(regadapt.__path__))
+for name in names:
+    __import__("regadapt." + name)
+from regadapt import _tuning, metrics
+scipy_at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+a = np.zeros((5, 5, 5), bool)
+b = np.zeros((5, 5, 5), bool)
+a[2, 2, 2] = True
+b[2, 2, 3] = True
+hd = metrics.hd95(a, b, (1, 1, 1))
+print(json.dumps({"modules": names, "scipy_at_import": scipy_at_import, "started": started,
+                  "tuned": _tuning.tune_allocator(), "hd95": hd,
+                  "spatial_after_hd95": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_importing_every_module_loads_no_scipy_and_starts_no_process():
+    import platform
+    import subprocess
+
+    import regadapt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regadapt.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cli", "autodiff", "unet", "fields", "losses", "pipeline", "metrics",
+            "volume_io"} <= set(probe["modules"])
+    assert probe["scipy_at_import"] == []
+    assert probe["started"] == []
+    assert probe["hd95"] == pytest.approx(1.0) and probe["spatial_after_hd95"]
+    if platform.libc_ver()[0] == "glibc":
+        assert probe["tuned"] is True
+
+
+def test_tune_allocator_is_false_without_mallopt(monkeypatch):
+    from regadapt import _tuning
+
+    monkeypatch.setattr(_tuning.ctypes, "CDLL", lambda name: object())
+    assert _tuning.tune_allocator() is False

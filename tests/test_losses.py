@@ -177,6 +177,25 @@ def test_diffusion_gradcheck():
     assert max_rel_err(ut.grad, fd) < 1e-3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 3, 6, 5, 4), (1, 3, 1, 5, 2), (2, 3, 2, 7, 1)])
+def test_diffusion_backward_equals_the_diff_formula(dtype, shape):
+    # the gradient is -2 g / count * sum over axes of np.diff(d, prepend=0, append=0),
+    # exactly; with exact zeros (flat regions) and size-1 and size-2 axes
+    u = np.random.default_rng(21).standard_normal(shape).astype(dtype)
+    u[..., :1, :, :] = 0
+    u[..., 2:, 1:3, :] = 0
+    ut = ad.DiffTensor(u, requires_grad=True)
+    reg = losses.diffusion_reg(ut)
+    ad.scale(reg, 0.37).backward()
+    diffs = [np.diff(u, axis=axis) for axis in (2, 3, 4)]
+    count = sum(d.size for d in diffs)
+    zero = dtype(0)
+    terms = [np.diff(d, axis=axis, prepend=zero, append=zero) for axis, d in zip((2, 3, 4), diffs)]
+    expect = dtype(-2.0 * 0.37 / count) * (terms[0] + terms[1] + terms[2])
+    assert ut.grad.dtype == dtype and np.array_equal(ut.grad, expect)
+
+
 def test_diffusion_is_one_graph_op():
     ut = ad.DiffTensor(RNG.standard_normal((1, 3, 4, 5, 3)), requires_grad=True)
     reg = losses.diffusion_reg(ut)

@@ -7,6 +7,8 @@ from regadapt import metrics as mx
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import LabelMap, LandmarkSet, synth_problem
 
+from oracles import surface_distances_oracle
+
 
 def _labels(arr, spacing=(1.0, 1.0, 1.0)):
     a = np.asarray(arr, dtype=np.int32)
@@ -128,6 +130,27 @@ def test_hd95_symmetric():
     a = rng.random((10, 10, 10)) > 0.6
     b = rng.random((10, 10, 10)) > 0.6
     assert mx.hd95(a, b, (1, 1, 1)) == pytest.approx(mx.hd95(b, a, (1, 1, 1)))
+
+
+def _random_boxes(rng, dims, n):
+    m = np.zeros(dims, bool)
+    for _ in range(n):
+        lo = [int(rng.integers(0, d - 3)) for d in dims]
+        hi = [lo_i + int(rng.integers(3, d - lo_i + 1)) for lo_i, d in zip(lo, dims)]
+        m[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    return m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hd95_matches_brute_force_oracle_on_random_masks(seed):
+    # two boxes plus scattered voxels: surfaces with interiors, and distances
+    # that mix all three spacings
+    rng = np.random.default_rng(seed)
+    dims, spacing = (12, 10, 9), (1.0, 0.7, 2.5)
+    a = _random_boxes(rng, dims, 2) | (rng.random(dims) > 0.97)
+    b = _random_boxes(rng, dims, 2) | (rng.random(dims) > 0.97)
+    ref = np.percentile(surface_distances_oracle(a, b, spacing), 95, method="linear")
+    assert mx.hd95(a, b, spacing) == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 # tre
