@@ -34,6 +34,14 @@ DEFAULT_DTYPE = np.float32
 
 # output voxels (GEMM columns) per conv3d tile; the wide operands are built per tile
 _CONV_TILE_ROWS = 4096
+# elements per block of a chain of voxelwise passes: 128 KB per float32 temporary, in L2
+_BLOCK = 32768
+
+
+def _blocks(n, unit=1):
+    """Slices of range(n), each of _BLOCK // unit items (at least one)."""
+    step = max(1, _BLOCK // unit)
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
 
 
 class GradientError(RuntimeError):

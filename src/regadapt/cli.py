@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -279,6 +278,11 @@ def _evaluate_one(entry):
     return mx.evaluate_pair(field, moving_labels=ml, fixed_labels=fl, landmarks=lms,
                             pair_id=entry.get("pair_id", entry["field"]),
                             spacing=_read_manifest(entry["field"])[1])
+
+
+def Pool(processes):  # imported here: only evaluate --jobs > 1 forks
+    import multiprocessing
+    return multiprocessing.Pool(processes)
 
 
 def cmd_evaluate(args):

@@ -12,7 +12,9 @@ nested lerps a + t * (b - a) in the cell of floor(p), so t is exactly 0 on
 grid points and a constant input has b - a == 0. A last-plane sample uses
 the cell below, with t == 1, so the field gradient keeps a one-sided slope
 there; its value takes a = b first, so it stays exact. Warps and point
-samples share this kernel, which gathers each corner once per call.
+samples share this kernel, _lerp3, which gathers each corner once per
+call; a warp runs it per block of autodiff._BLOCK voxels, in cache, with
+the same operations per voxel whatever the block size.
 """
 
 import dataclasses
@@ -139,8 +141,9 @@ def warp_tensor(v, u):
     """Differentiable warp: v (N, C, D, H, W) sampled at x + u, u (N, 3, D, H, W).
 
     Arrays, Volume3D and DisplacementField inputs are lifted to graph leaves.
-    The forward keeps what the backward reads: the field slopes, zeroed past
-    a face, if u needs a gradient, and the cells if v does.
+    The forward samples per block of ad._BLOCK voxels and keeps what the
+    backward reads: the field slopes, zeroed past a face, if u needs a
+    gradient, and the cells if v does.
     """
     v, u = ad._lift(v), ad._lift(u)
     if v.shape[0] != 1 or u.shape[0] != 1 or u.shape[1] != 3:
@@ -149,24 +152,36 @@ def warp_tensor(v, u):
     if u.shape[2:] != dims:
         raise ValueError(f"warp: dims mismatch {v.shape[2:]} vs {u.shape[2:]}")
     C = v.shape[1]
-    i0, t, inb = _sample_prep(dims, _grid(dims, u.dtype) + u.data[0])
-    f0, steps, tt, edges = _cells(i0, t, dims)
     vol_flat = v.data[0].reshape(C, -1)
-    out, _, slopes = _lerp3(vol_flat, f0, steps, tt, edges, slopes=u.requires_grad)
-    for s, m in zip(slopes, inb):
-        s *= m
-    f0, tt = (f0, tt) if v.requires_grad else (None, None)
+    n = vol_flat.shape[1]
+    grid, uf = _grid(dims, u.dtype).reshape(3, n), u.data[0].reshape(3, n)
+    out = np.empty((C, n), np.result_type(v.dtype, u.dtype))
+    slopes = np.empty((3, C, n), out.dtype) if u.requires_grad else None
+    f0 = tt = None
+    for b in ad._blocks(n):
+        i0, t, inb = _sample_prep(dims, grid[:, b] + uf[:, b])
+        f0b, steps, ttb, edges = _cells(i0, t, dims)
+        out[:, b], _, sb = _lerp3(vol_flat, f0b, steps, ttb, edges, slopes=u.requires_grad)
+        if u.requires_grad:
+            for s, m, dst in zip(sb, inb, slopes[:, :, b]):
+                np.multiply(s, m, out=dst)
+        if v.requires_grad:
+            if f0 is None:
+                f0, tt = np.empty(n, f0b.dtype), np.empty((3, n), ttb[0].dtype)
+            f0[b], tt[:, b] = f0b, ttb
 
     def bwd(g):
-        g0 = g[0]  # (C, D, H, W)
+        g0 = g[0].reshape(C, n)
         if u.requires_grad:
-            gu = np.stack([(s * g0).sum(axis=0) for s in slopes])
-            u.accumulate_grad(gu[None].astype(u.dtype, copy=False))
+            gu = np.empty((3, n), slopes.dtype)
+            for b in ad._blocks(n, 3 * C):
+                np.sum(slopes[:, :, b] * g0[:, b], axis=1, out=gu[:, b])
+            u.accumulate_grad(gu.reshape((1, 3) + dims).astype(u.dtype, copy=False), own=True)
         if v.requires_grad:
             # adjoint of the lerps: each of the 8 corners takes its weight times
             # g; each axis doubles the corners, its upper half one step up
-            idx = np.empty((8,) + dims, np.intp)
-            w = np.empty((8,) + dims, tt[0].dtype)
+            idx = np.empty((8, n), np.intp)
+            w = np.empty((8, n), tt.dtype)
             idx[0], w[0] = f0, 1.0
             for k, step, ta in zip((1, 2, 4), steps, tt):
                 np.add(idx[:k], step, out=idx[k:2 * k])
@@ -174,10 +189,10 @@ def warp_tensor(v, u):
                 w[:k] *= 1.0 - ta
             wg = np.empty(w.shape)  # bincount's float64 weights, one channel at a time
             gv = np.stack([np.bincount(idx.ravel(), np.multiply(w, gc, out=wg).ravel(),
-                                       minlength=vol_flat.shape[1]) for gc in g0])
+                                       minlength=n) for gc in g0])
             v.accumulate_grad(gv.reshape((1, C) + dims).astype(v.dtype, copy=False))
 
-    return ad._result(out[None], (v, u), bwd, "warp")
+    return ad._result(out.reshape((1, C) + dims), (v, u), bwd, "warp")
 
 
 def _like(t, x):

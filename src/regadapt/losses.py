@@ -12,7 +12,9 @@ diffusion_reg are each one op whose backward is written out in closed
 form; total_loss_graph adds their nodes up. Called with Volume3D,
 DisplacementField or ndarray inputs, lncc, diffusion_reg and total_loss
 lift them to graph leaves that need no gradient, so no backward closures
-are kept, and return floats (and arrays) instead of nodes.
+are kept, and return floats (and arrays) instead of nodes. LNCC's voxelwise
+algebra and the diffusion adjoint run per block of autodiff._BLOCK elements
+in the same operation order, so no value depends on the block size.
 
 Border convention: the local moments are zero-padded Gaussian sums, as in
 autodiff.filter_separable. Per-voxel values are therefore exact, and
@@ -56,33 +58,40 @@ def lncc(a, b, window=9, return_map=False):
     if at.shape != bt.shape:
         raise ValueError(f"lncc: shape mismatch {at.shape} vs {bt.shape}")
 
-    def G(v):
-        return ad.filter_separable(v, k1d)
+    def G(v):  # flat in, flat out
+        return ad.filter_separable(v.reshape(at.shape), k1d).reshape(-1)
 
-    x, y = at.data, bt.data
-    ma, mb = G(x), G(y)
+    x, y = at.data.reshape(-1), bt.data.reshape(-1)
+    n = x.size
     eps = x.dtype.type(LNCC_EPS)
-    va = G(x * x) - ma * ma + eps
-    vb = G(y * y) - mb * mb + eps
-    den = np.sqrt(va * vb)
-    c = (G(x * y) - ma * mb) / den
-    n = c.size
+    ma, mb, va, vb, c = G(x), G(y), G(x * x), G(y * y), G(x * y)
+    den = np.empty_like(c)
+    for s in ad._blocks(n):  # into the filter outputs
+        va[s] = va[s] - ma[s] * ma[s] + eps
+        vb[s] = vb[s] - mb[s] * mb[s] + eps
+        den[s] = np.sqrt(va[s] * vb[s])
+        c[s] = (c[s] - ma[s] * mb[s]) / den[s]
 
     def bwd(g):
         gn = c.dtype.type(g.reshape(-1)[0] / n)
         gc = gn / den
         g_gc = G(gc)
-        for t, mt, vt, u, mu in ((at, ma, va, bt, mb), (bt, mb, vb, at, ma)):
+        for t, xt, mt, vt, yt, mu in ((at, x, ma, va, y, mb), (bt, y, mb, vb, x, ma)):
             if t.requires_grad:
-                gv = (-0.5 * gn) * c / vt
-                t.accumulate_grad(2 * t.data * G(gv) + u.data * g_gc - G(2 * gv * mt + gc * mu),
-                                  own=True)
+                gv, arg = np.empty_like(c), np.empty_like(c)
+                for s in ad._blocks(n):  # gv and the argument of the last G
+                    gv[s] = (-0.5 * gn) * c[s] / vt[s]
+                    arg[s] = 2 * gv[s] * mt[s] + gc[s] * mu[s]
+                grad, g_arg = G(gv), G(arg)
+                for s in ad._blocks(n):  # in place on G(gv)
+                    grad[s] = 2 * xt[s] * grad[s] + yt[s] * g_gc[s] - g_arg[s]
+                t.accumulate_grad(grad.reshape(at.shape), own=True)
 
     mean = np.asarray(c.sum(dtype=np.float64) / n, dtype=c.dtype).reshape((1,) * 5)
     s = ad._result(mean, (at, bt), bwd, "lncc")
     if not (isinstance(a, DiffTensor) or isinstance(b, DiffTensor)):
-        s, c = s.item(), c.reshape(ad._array_of(a).shape)
-    return (s, c) if return_map else s
+        return (s.item(), c.reshape(ad._array_of(a).shape)) if return_map else s.item()
+    return (s, c.reshape(at.shape)) if return_map else s
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +122,14 @@ def modality_gate(a, b, window=11, tau=0.4, down=4):
 # diffusion regularizer
 
 
-def _diff_adjoint(d, axis, out):
-    """out = np.diff(d, axis, prepend=0, append=0), written in place."""
+def _diff_adjoint(d, axis, out, start=0):
+    """out = np.diff(d, axis, prepend=0, append=0) from plane start on, in place."""
     o, d = np.moveaxis(out, axis, 0), np.moveaxis(d, axis, 0)
-    o[:-1] = d
-    o[-1] = 0
-    o[1:] -= d
+    stop = start + len(o)
+    o[:len(d[start:stop])] = d[start:stop]
+    if stop > len(d):
+        o[-1] = 0
+    o[max(1 - start, 0):] -= d[max(start - 1, 0):stop - 1]
     return out
 
 
@@ -137,11 +148,13 @@ def diffusion_reg(u):
     total = sum(np.square(d).sum(dtype=np.float64) for d in diffs)
 
     def bwd(g):
-        grad, term = np.empty_like(ut.data), np.empty_like(ut.data)
-        _diff_adjoint(diffs[0], 2, grad)
-        for axis, d in zip((3, 4), diffs[1:]):
-            grad += _diff_adjoint(d, axis, term)
-        grad *= ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
+        grad = np.empty_like(ut.data)
+        for z in ad._blocks(grad.shape[2], grad[0, 0, 0].size):  # slabs of D-planes
+            slab, term = grad[:, :, z], np.empty_like(grad[:, :, z])
+            _diff_adjoint(diffs[0], 2, slab, z.start)
+            for axis, d in zip((3, 4), diffs[1:]):
+                slab += _diff_adjoint(d[:, :, z], axis, term)
+            slab *= ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
         ut.accumulate_grad(grad, own=True)
 
     reg = ad._result(np.full((1,) * 5, total / count, ut.dtype), (ut,), bwd, "diffusion")
@@ -160,9 +173,6 @@ class LossReport:
     reg: float
     lam: float
     total: float
-
-    def recompute_total(self):
-        return float(sum(-s for s in self.sim) + self.lam * self.reg)
 
 
 def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):

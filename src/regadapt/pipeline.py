@@ -233,7 +233,8 @@ def _profile_correlation(h1, h2):
 def monotone_remap(volume, reference):
     """Histogram-match intensities onto the reference by quantile mapping.
 
-    Each voxel's quantile is its midrank, (#below + #at-or-below) / 2n.
+    Each voxel's quantile is its midrank, (#below + #at-or-below) / 2n,
+    counted from one sort of the distinct values.
     For a volume matched onto its own histogram the midrank lies strictly
     inside the CDF step of the voxel's bin, so the value stays within one
     bin width even next to empty bins, where the reference CDF plateaus.
@@ -253,14 +254,10 @@ def monotone_remap(volume, reference):
     r_flipped = _profile_correlation(own_counts, ref_counts[::-1])
     if r_flipped > r_direct:
         data = hi - data + lo
-    vals = data.reshape(-1)
-    flat = np.sort(vals)
-    n = flat.size
-    quantiles = (np.searchsorted(flat, vals, side="left")
-                 + np.searchsorted(flat, vals, side="right")) / (2.0 * n)
+    _, inverse, counts = np.unique(data.reshape(-1), return_inverse=True, return_counts=True)
+    quantiles = (2 * np.cumsum(counts) - counts) / (2.0 * data.size)
     ref_cdf = np.concatenate([[0.0], np.cumsum(ref_counts) / max(ref_counts.sum(), 1)])
-    mapped = np.interp(quantiles, ref_cdf, ref_edges)
-    out = mapped.reshape(volume.data.shape).astype(np.float32)
+    out = np.interp(quantiles, ref_cdf, ref_edges)[inverse].reshape(data.shape).astype(np.float32)
     return dataclasses.replace(volume, data=out)
 
 

@@ -134,6 +134,18 @@ def diffusion_oracle(u):
     return total / count
 
 
+def midrank_remap_oracle(data, ref_counts, ref_edges):
+    """Quantile mapping per voxel: its midrank (#below + #at-or-below) / 2n,
+    counted over every voxel in float64, through the reference CDF."""
+    vals = np.asarray(data, dtype=np.float64).reshape(-1)
+    n = vals.size
+    q = np.array([(int(np.count_nonzero(vals < x)) + int(np.count_nonzero(vals <= x))) / (2.0 * n)
+                  for x in vals])
+    counts = np.asarray(ref_counts, dtype=np.float64)
+    cdf = np.concatenate([[0.0], np.cumsum(counts) / max(counts.sum(), 1)])
+    return np.interp(q, cdf, np.asarray(ref_edges, dtype=np.float64)).reshape(np.shape(data))
+
+
 def surface_distances_oracle(a_mask, b_mask, spacing):
     """Pooled surface-to-surface nearest distances in mm, by brute force.
 

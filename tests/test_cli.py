@@ -777,18 +777,21 @@ for name in names:
     __import__("regadapt." + name)
 from regadapt import _tuning, metrics
 scipy_at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+mp_at_import = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
 a = np.zeros((5, 5, 5), bool)
 b = np.zeros((5, 5, 5), bool)
 a[2, 2, 2] = True
 b[2, 2, 3] = True
 hd = metrics.hd95(a, b, (1, 1, 1))
-print(json.dumps({"modules": names, "scipy_at_import": scipy_at_import, "started": started,
+print(json.dumps({"modules": names, "scipy_at_import": scipy_at_import,
+                  "multiprocessing_at_import": mp_at_import, "started": started,
                   "tuned": _tuning.tune_allocator(), "hd95": hd,
                   "spatial_after_hd95": "scipy.spatial" in sys.modules}))
 """
 
 
 def test_importing_every_module_loads_no_scipy_and_starts_no_process():
+    # nor multiprocessing, which only evaluate --jobs > 1 imports
     import platform
     import subprocess
 
@@ -803,6 +806,7 @@ def test_importing_every_module_loads_no_scipy_and_starts_no_process():
     assert {"cli", "autodiff", "unet", "fields", "losses", "pipeline", "metrics",
             "volume_io"} <= set(probe["modules"])
     assert probe["scipy_at_import"] == []
+    assert probe["multiprocessing_at_import"] == []
     assert probe["started"] == []
     assert probe["hd95"] == pytest.approx(1.0) and probe["spatial_after_hd95"]
     if platform.libc_ver()[0] == "glibc":

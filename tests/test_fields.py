@@ -184,6 +184,30 @@ def test_warp_size_one_axes_sample_and_backpropagate(dims):
     _vjp_check(lambda xt: fa.warp_tensor(xt, ad.DiffTensor(u0)), v0, 17)
 
 
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("dims", [(13, 11, 9), (9, 1, 7)])
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("vtype, utype", [(np.float32, np.float32), (np.float64, np.float64),
+                                          (np.float64, np.float32)])
+def test_warp_across_ragged_blocks_is_bit_identical(monkeypatch, dims, C, vtype, utype):
+    # 37 voxels per block: many blocks, the last one short, against one block
+    rng = np.random.default_rng(18)
+    v = rng.standard_normal((1, C) + dims).astype(vtype)
+    u = _past_faces_and_onto_last_planes(dims, 19).astype(utype)
+    g = rng.standard_normal((1, C) + dims)
+    runs = []
+    for block in (37, 2 ** 40):
+        monkeypatch.setattr(ad, "_BLOCK", block)
+        vt, ut = ad.DiffTensor(v, requires_grad=True), ad.DiffTensor(u, requires_grad=True)
+        out = fa.warp_tensor(vt, ut)
+        inner(out, g).backward()
+        runs.append(_bits(out.data, ut.grad, vt.grad, fa.warp_tensor(v, u).data))
+    assert runs[0] == runs[1]
+
+
 def test_compose_zero_zero():
     z = DisplacementField.zero((4, 4, 4))
     out = fa.compose(z, z)

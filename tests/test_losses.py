@@ -196,6 +196,42 @@ def test_diffusion_backward_equals_the_diff_formula(dtype, shape):
     assert ut.grad.dtype == dtype and np.array_equal(ut.grad, expect)
 
 
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 3, 13, 11, 9), (1, 3, 13, 2, 3), (2, 3, 1, 5, 2)])
+def test_diffusion_backward_across_ragged_slabs_is_bit_identical(monkeypatch, dtype, shape):
+    # 37 elements per block: slabs of one D-plane, or of 6 and a last short one
+    # on the 2 x 3 planes, against one slab; with exact zeros and -0.0
+    u = np.random.default_rng(23).standard_normal(shape).astype(dtype)
+    u[..., ::3, :, :] = 0
+    u[:, 1, :, ::2] = -0.0
+    runs = []
+    for block in (37, 2 ** 40):
+        monkeypatch.setattr(ad, "_BLOCK", block)
+        ut = ad.DiffTensor(u, requires_grad=True)
+        ad.scale(losses.diffusion_reg(ut), 0.37).backward()
+        runs.append(_bits(ut.grad))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [(13, 11, 9), (9, 1, 7)])
+def test_lncc_across_ragged_blocks_is_bit_identical(monkeypatch, dtype, dims):
+    a = _textured((1, 1) + dims, 24).astype(dtype)
+    b = (0.5 * a + _textured((1, 1) + dims, 25)).astype(dtype)
+    runs = []
+    for block in (37, 2 ** 40):
+        monkeypatch.setattr(ad, "_BLOCK", block)
+        at, bt = ad.DiffTensor(a, requires_grad=True), ad.DiffTensor(b, requires_grad=True)
+        s, c = losses.lncc(at, bt, 5, return_map=True)
+        ad.scale(s, 0.7).backward()
+        runs.append(_bits(s.data, c, at.grad, bt.grad))
+    assert runs[0] == runs[1]
+
+
 def test_diffusion_is_one_graph_op():
     ut = ad.DiffTensor(RNG.standard_normal((1, 3, 4, 5, 3)), requires_grad=True)
     reg = losses.diffusion_reg(ut)
@@ -268,7 +304,7 @@ def test_total_loss_recomposition():
     report = losses.total_loss([a], b, DisplacementField(u), lam=0.1, window=5)
     expect = -losses.lncc(a, b, 5) + 0.1 * losses.diffusion_reg(DisplacementField(u))
     assert report.total == pytest.approx(expect, rel=1e-6)
-    assert report.total == pytest.approx(report.recompute_total(), rel=1e-6)
+    assert report.total == pytest.approx(-sum(report.sim) + report.lam * report.reg, rel=1e-6)
 
 
 def test_total_loss_defaults_and_errors():

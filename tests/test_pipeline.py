@@ -13,9 +13,9 @@ from regadapt import losses
 from regadapt import pipeline as pl
 from regadapt import unet
 from regadapt.fields import DisplacementField
-from regadapt.volume_io import save_field, synth_problem
+from regadapt.volume_io import Volume3D, save_field, synth_problem
 
-from oracles import endpoint_error
+from oracles import endpoint_error, midrank_remap_oracle
 
 DIMS = (16, 16, 16)
 
@@ -101,6 +101,22 @@ def test_monotone_remap_fixes_inversion():
     out = pl.monotone_remap(p.remapped, ref)
     ncc = np.corrcoef(out.data.reshape(-1), p.phantom.data.reshape(-1))[0, 1]
     assert ncc > 0.95
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotone_remap_is_the_midrank_oracle_with_ties(seed):
+    # six integer levels on 7 x 5 x 6 voxels, skewed low: every value is tied
+    rng = np.random.default_rng(seed)
+    p = [0.4, 0.25, 0.15, 0.1, 0.06, 0.04]
+    low = rng.choice(6, size=(7, 5, 6), p=p).astype(np.float32)
+    ref = pl.reference_histogram(rng.choice(6, size=(7, 5, 6), p=p).astype(np.float32), bins=6)
+    for data, flipped in ((low, False), (5 - low, True)):  # skewed high: the flipped branch
+        got = pl.monotone_remap(Volume3D(data.shape, (1.0, 1.0, 1.0), data), ref).data
+        direct = midrank_remap_oracle(data, ref["counts"], ref["edges"]).astype(np.float32)
+        inverted = midrank_remap_oracle(data.max() - data.astype(np.float64) + data.min(),
+                                        ref["counts"], ref["edges"]).astype(np.float32)
+        assert not np.array_equal(direct, inverted)
+        assert np.array_equal(got, inverted if flipped else direct)
 
 
 def test_monotone_remap_constant_errors(prob):
