@@ -30,6 +30,11 @@ def fd_gradient(f, x, h=1e-3):
     return g
 
 
+def bits(*arrays):
+    """(dtype, shape, bytes) of each array: equal lists mean bit-identical arrays."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
 def max_rel_err(a, b, floor=1e-6):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())

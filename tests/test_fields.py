@@ -8,7 +8,7 @@ from regadapt import fields as fa
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import Volume3D, synth_problem
 
-from oracles import fd_gradient, inner, max_rel_err, warp_field_grad_oracle, warp_oracle
+from oracles import bits, fd_gradient, inner, max_rel_err, warp_field_grad_oracle, warp_oracle
 
 RNG = np.random.default_rng(99)
 
@@ -184,10 +184,6 @@ def test_warp_size_one_axes_sample_and_backpropagate(dims):
     _vjp_check(lambda xt: fa.warp_tensor(xt, ad.DiffTensor(u0)), v0, 17)
 
 
-def _bits(*arrays):
-    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-
-
 @pytest.mark.parametrize("dims", [(13, 11, 9), (9, 1, 7)])
 @pytest.mark.parametrize("C", [1, 3])
 @pytest.mark.parametrize("vtype, utype", [(np.float32, np.float32), (np.float64, np.float64),
@@ -204,7 +200,7 @@ def test_warp_across_ragged_blocks_is_bit_identical(monkeypatch, dims, C, vtype,
         vt, ut = ad.DiffTensor(v, requires_grad=True), ad.DiffTensor(u, requires_grad=True)
         out = fa.warp_tensor(vt, ut)
         inner(out, g).backward()
-        runs.append(_bits(out.data, ut.grad, vt.grad, fa.warp_tensor(v, u).data))
+        runs.append(bits(out.data, ut.grad, vt.grad, fa.warp_tensor(v, u).data))
     assert runs[0] == runs[1]
 
 

@@ -8,7 +8,7 @@ from regadapt import losses
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import synth_problem
 
-from oracles import diffusion_oracle, fd_gradient, lncc_oracle, max_rel_err
+from oracles import bits, diffusion_oracle, fd_gradient, lncc_oracle, max_rel_err
 
 RNG = np.random.default_rng(77)
 
@@ -196,10 +196,6 @@ def test_diffusion_backward_equals_the_diff_formula(dtype, shape):
     assert ut.grad.dtype == dtype and np.array_equal(ut.grad, expect)
 
 
-def _bits(*arrays):
-    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(1, 3, 13, 11, 9), (1, 3, 13, 2, 3), (2, 3, 1, 5, 2)])
 def test_diffusion_backward_across_ragged_slabs_is_bit_identical(monkeypatch, dtype, shape):
@@ -213,7 +209,7 @@ def test_diffusion_backward_across_ragged_slabs_is_bit_identical(monkeypatch, dt
         monkeypatch.setattr(ad, "_BLOCK", block)
         ut = ad.DiffTensor(u, requires_grad=True)
         ad.scale(losses.diffusion_reg(ut), 0.37).backward()
-        runs.append(_bits(ut.grad))
+        runs.append(bits(ut.grad))
     assert runs[0] == runs[1]
 
 
@@ -228,7 +224,7 @@ def test_lncc_across_ragged_blocks_is_bit_identical(monkeypatch, dtype, dims):
         at, bt = ad.DiffTensor(a, requires_grad=True), ad.DiffTensor(b, requires_grad=True)
         s, c = losses.lncc(at, bt, 5, return_map=True)
         ad.scale(s, 0.7).backward()
-        runs.append(_bits(s.data, c, at.grad, bt.grad))
+        runs.append(bits(s.data, c, at.grad, bt.grad))
     assert runs[0] == runs[1]
 
 
