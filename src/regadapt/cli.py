@@ -1,10 +1,12 @@
 """Command-line surface: synth data, registration, pretraining, evaluation.
 
-Subcommands: register, pretrain, synth, evaluate, baseline. Flag values
-override config-file values, which override the built-in deployment
-defaults (steps 50, lr 5e-4, warmup 10, lambda 0.1, windows 9/11,
-tau 0.4, output scale 0.05). REGADAPT_SEED overrides the default seed.
-Exit codes: 0 success, 1 I/O or usage errors, 2 numerical aborts.
+Subcommands: register, pretrain, synth, evaluate, baseline. Each settings flag
+is built from an IOConfig field, and --help prints its default; pretrain offers
+only the cascade and loss settings it reads. Flag values override config-file
+values (any IOConfig key, for every command), which override IOConfig's
+deployment defaults; REGADAPT_SEED overrides the default seed. Output paths are
+checked before any work. Exit codes: 0 success, 1 I/O or usage errors, 2
+numerical aborts.
 """
 
 import argparse
@@ -49,40 +51,29 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_io_flags(p):
-    d = _IO_DEFAULTS
-    p.add_argument("--steps", type=int, help=f"IO steps (default: {d['steps']})")
-    p.add_argument("--lr", dest="base_lr", type=float,
-                   help=f"Adam base learning rate (default: {d['base_lr']})")
-    p.add_argument("--warmup", type=int,
-                   help=f"linear warmup steps (default: {d['warmup']})")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help=f"regularization weight (default: {d['lam']})")
-    p.add_argument("--lncc-window", type=int,
-                   help=f"similarity LNCC window (default: {d['lncc_window']})")
-    p.add_argument("--gate-window", type=int,
-                   help=f"gate LNCC window (default: {d['gate_window']})")
-    p.add_argument("--tau", type=float,
-                   help=f"gate threshold (default: {d['tau']})")
-    p.add_argument("--gate-down", type=int,
-                   help=f"gate downsample factor (default: {d['gate_down']})")
-    p.add_argument("--seed", type=int,
-                   help="refiner init seed (default: 0, or REGADAPT_SEED)")
-    p.add_argument("--variant", choices=un.MODES["variant"],
-                   help=f"refiner variant (default: {d['variant']})")
-    p.add_argument("--update-mode", choices=un.MODES["update_mode"],
-                   help=f"field update rule (default: {d['update_mode']})")
-    p.add_argument("--scale-mode", choices=un.MODES["scale_mode"],
-                   help=f"output-scale placement (default: {d['scale_mode']})")
-    p.add_argument("--output-scale", type=float,
-                   help=f"residual magnitude factor (default: {d['output_scale']})")
-    p.add_argument("--dice-every", type=int,
-                   help=f"trace Dice every N steps, 0 disables (default: {d['dice_every']})")
-    p.add_argument("--base-channels", type=int,
-                   help=f"U-Net base channels (default: {d['base_channels']})")
-    p.add_argument("--depth", type=int,
-                   help=f"U-Net resolution levels; the coarsest is the bottleneck "
-                        f"(default: {d['depth']})")
+# each IOConfig field's help; its flag is --name with - for _, or as _FLAG_NAMES says
+_SETTING_HELP = {
+    "variant": "refiner variant", "update_mode": "field update rule",
+    "scale_mode": "output-scale placement", "output_scale": "residual magnitude factor",
+    "base_channels": "U-Net base channels",
+    "depth": "U-Net resolution levels; the coarsest is the bottleneck",
+    "seed": "refiner init seed", "steps": "IO steps", "base_lr": "Adam base learning rate",
+    "warmup": "linear warmup steps", "lam": "regularization weight",
+    "lncc_window": "similarity LNCC window", "gate_window": "gate LNCC window",
+    "tau": "gate threshold", "gate_down": "gate downsample factor",
+    "dice_every": "trace Dice every N steps, 0 disables",
+}
+_FLAG_NAMES = {"base_lr": "--lr", "lam": "--lambda"}
+
+
+def _add_io_flags(p, names):
+    """One flag per IOConfig field in names, and --config."""
+    for f in dataclasses.fields(pl.IOConfig):
+        if f.name in names:
+            default = f"{f.default}, or REGADAPT_SEED" if f.name == "seed" else f.default
+            p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                           dest=f.name, type=f.type, choices=un.MODES.get(f.name),
+                           help=f"{_SETTING_HELP[f.name]} (default: {default})")
     p.add_argument("--config", help="JSON config file; flags override its values")
 
 
@@ -161,6 +152,29 @@ def _write_json(path, obj):
     _write_file(path, [json.dumps(obj, indent=1).encode()])
 
 
+def _check_outputs(args, *flags):
+    """Fail unless each output flag given names a file in an existing directory."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"{flag} {path}: not a file in an existing directory")
+
+
+def _load_pair(args):
+    """register's and baseline's effective config, volumes, backbone and style."""
+    cfg = _effective_config(args)
+    moving, fixed = load_volume(args.moving), load_volume(args.fixed)
+    return cfg, moving, fixed, _parse_backbone(args.backbone), _parse_style(args.style)
+
+
+def _exit_status(result):
+    """0, or 2 after naming the numerical abort that ended the IO."""
+    if result.trace.error:
+        print(f"numerical abort: {result.trace.error}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _registration_report(result, cfg, metrics_report=None):
     rep = {
         "gate_fired": result.trace.gate_fired,
@@ -180,16 +194,13 @@ def _registration_report(result, cfg, metrics_report=None):
 
 
 def cmd_register(args):
-    cfg = _effective_config(args)
-    moving = load_volume(args.moving)
-    fixed = load_volume(args.fixed)
+    _check_outputs(args, "--out-field", "--trace", "--report")
+    cfg, moving, fixed, backbone, style = _load_pair(args)
     moving_labels, fixed_labels = (_load_on_grid(load_labels, p, fixed.dims) if p else None
                                    for p in (args.moving_labels, args.fixed_labels))
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
     if landmarks is not None:
         mx.landmark_voxels(landmarks, fixed.dims, fixed.spacing, source=args.landmarks)
-    backbone = _parse_backbone(args.backbone)
-    style = _parse_style(args.style)
     result = pl.register_pair(moving, fixed, cfg=cfg, backbone=backbone, style=style,
                               moving_labels=moving_labels, fixed_labels=fixed_labels)
     if args.out_field:
@@ -204,10 +215,7 @@ def cmd_register(args):
             spacing=fixed.spacing)
     if args.report:
         _write_json(args.report, _registration_report(result, cfg, metrics_report))
-    if result.trace.error:
-        print(f"numerical abort: {result.trace.error}", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_status(result)
 
 
 def cmd_synth(args):
@@ -240,16 +248,14 @@ def _load_pairs_dir(path):
 
 
 def cmd_pretrain(args):
+    _check_outputs(args, "--out", "--history")
     cfg = _effective_config(args)
     if not 0 <= args.pretrain_lr < np.inf:
         raise ValueError(f"--pretrain-lr must be finite and >= 0, got {args.pretrain_lr}")
     if args.pretrain_steps < 0:
         raise ValueError(f"--pretrain-steps must be >= 0, got {args.pretrain_steps}")
-    for flag, path in (("--out", args.out), ("--history", args.history)):
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise ValueError(f"{flag} {path}: not a file in an existing directory")
     if args.data_dir:
-        problems = [(m, f) for m, f in _load_pairs_dir(args.data_dir)]
+        problems = _load_pairs_dir(args.data_dir)
     else:
         problems = []
         for i in range(args.synth_pairs):
@@ -286,6 +292,7 @@ def Pool(processes):  # imported here: only evaluate --jobs > 1 forks
 
 
 def cmd_evaluate(args):
+    _check_outputs(args, "--report", "--csv")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.batch:
@@ -319,7 +326,7 @@ def cmd_evaluate(args):
         for r in reports:
             w.writerow(r.csv_row())
         w.writerow([f"aggregate(n={agg['pairs']})", agg["dice"], agg["hd95"],
-                    agg["tre"], agg["ndv"], ""])
+                    agg["tre"], "", agg["ndv"]])
         _write_file(args.csv, [text.getvalue().encode()])
     for r in reports:
         line = f"{r.pair_id}: dice={r.dice_mean} hd95={r.hd95_mean} " \
@@ -334,12 +341,9 @@ def _endpoint_error(field, truth):
 
 
 def cmd_baseline(args):
-    cfg = _effective_config(args)
-    moving = load_volume(args.moving)
-    fixed = load_volume(args.fixed)
+    _check_outputs(args, "--out")
+    cfg, moving, fixed, backbone, style = _load_pair(args)
     truth = _load_on_grid(load_field, args.true_field, fixed.dims) if args.true_field else None
-    backbone = _parse_backbone(args.backbone)
-    style = _parse_style(args.style)
     if args.strategy == "backbone-only":
         base_field = pl.backbone_predict(backbone, moving, fixed)
     else:
@@ -359,10 +363,7 @@ def cmd_baseline(args):
         comparison["zero_epe_vox"] = _endpoint_error(
             DisplacementField.zero(truth.dims), truth)
     _write_json(args.out, comparison)
-    if result.trace.error:
-        print(f"numerical abort: {result.trace.error}", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_status(result)
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +375,24 @@ def build_parser():
                 description="Test-time-adaptive 3D deformable registration")
     sub = p.add_subparsers(dest="command", required=True)
 
-    r = sub.add_parser("register", parents=[], help="register one pair",
+    pair = argparse.ArgumentParser(add_help=False)  # what register and baseline share
+    pair.add_argument("--moving", required=True, help="moving volume (.vol)")
+    pair.add_argument("--fixed", required=True, help="fixed volume (.vol)")
+    pair.add_argument("--backbone", help="zero | variational | file:PATH (default: zero)")
+    pair.add_argument("--style",
+                      help="identity | monotone:REF.vol | external:CMD (default: identity)")
+    _add_io_flags(pair, _IO_DEFAULTS)
+
+    r = sub.add_parser("register", parents=[pair], help="register one pair",
                        description="Gated preprocessing, backbone init, instance optimization.")
-    r.add_argument("--moving", required=True, help="moving volume (.vol)")
-    r.add_argument("--fixed", required=True, help="fixed volume (.vol)")
     r.add_argument("--moving-labels", help="moving label map (.vol, kind=labels)")
     r.add_argument("--fixed-labels", help="fixed label map (.vol, kind=labels)")
     r.add_argument("--landmarks", help="landmark CSV (moving,fixed mm pairs)")
-    r.add_argument("--backbone", default=None,
-                   help="zero | variational | file:PATH (default: zero)")
-    r.add_argument("--style", default=None,
-                   help="identity | monotone:REF.vol | external:CMD (default: identity)")
     r.add_argument("--out-field", help="output displacement field path (.vol)")
     r.add_argument("--trace", help="per-step JSONL trace path (append-only)")
     r.add_argument("--report", help="run report JSON path")
     r.add_argument("--timed-trace", action="store_true",
                    help="record wall-clock elapsed_ms in the trace (breaks byte-level reproducibility)")
-    _add_io_flags(r)
     r.set_defaults(func=cmd_register)
 
     s = sub.add_parser("synth", help="generate a synthetic ground-truth problem")
@@ -415,7 +417,9 @@ def build_parser():
                    help="fixed learning rate, no warmup (default: 1e-5)")
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--history", help="training-loss JSONL path")
-    _add_io_flags(t)
+    # pretrain reads the cascade settings and the loss's
+    _add_io_flags(t, [f.name for f in dataclasses.fields(un.CascadeConfig)]
+                  + ["lam", "lncc_window"])
     t.set_defaults(func=cmd_pretrain)
 
     e = sub.add_parser("evaluate", help="metrics for saved fields")
@@ -430,16 +434,12 @@ def build_parser():
     e.add_argument("--csv", help="CSV summary path (per pair + aggregate row)")
     e.set_defaults(func=cmd_evaluate)
 
-    b = sub.add_parser("baseline", help="compare a baseline strategy vs the pipeline")
-    b.add_argument("--moving", required=True)
-    b.add_argument("--fixed", required=True)
+    b = sub.add_parser("baseline", parents=[pair],
+                       help="compare a baseline strategy vs the pipeline")
     b.add_argument("--strategy", choices=["backbone-only", "iterate"], required=True)
     b.add_argument("--k", type=int, default=1, help="iterations for --strategy iterate")
-    b.add_argument("--backbone", default=None)
-    b.add_argument("--style", default=None)
     b.add_argument("--true-field", help="ground-truth field for endpoint errors")
     b.add_argument("--out", required=True, help="comparison JSON path")
-    _add_io_flags(b)
     b.set_defaults(func=cmd_baseline)
     return p
 

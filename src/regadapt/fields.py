@@ -249,18 +249,6 @@ def upsample_field(u, target):
     return _like(ad.scale_channels(resized, ratios), u)
 
 
-def scale_field(u, s):
-    """Multiply every component of a DisplacementField or array by the scalar s.
-
-    The product is formed in float64 and rounded to the field's float32
-    (or wider) dtype once, so on float32 fields scaling by s1 * s2 and by
-    s1 then s2 differ by at most 1 ulp.
-    """
-    ua = ad._array_of(u)
-    out = (ua.astype(np.float64) * float(s)).astype(np.result_type(ua.dtype, np.float32))
-    return DisplacementField(out) if isinstance(u, DisplacementField) else out
-
-
 # ---------------------------------------------------------------------------
 # Jacobian analysis
 

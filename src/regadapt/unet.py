@@ -103,11 +103,6 @@ def _param_shapes(cfg):
     return shapes
 
 
-def unet_param_count(cfg):
-    """Closed-form parameter count: sum of C_out*C_in*k^3 + C_out per conv."""
-    return sum(math.prod(shape) for shape in _param_shapes(cfg).values())
-
-
 def init_unet_params(cfg, rng):
     """He-style fan-in init for hidden conv weights, zeros for biases and the final conv."""
     params = {}

@@ -496,3 +496,22 @@ def test_every_public_autodiff_function_has_a_caller_in_src():
               and not name.startswith("_")}
     assert {"conv3d", "gaussian_reflect"} <= public
     assert sorted(public - _autodiff_calls_elsewhere_in_src()) == []
+
+
+def test_every_public_name_in_the_package_is_used_by_the_program():
+    # a public function or class of any module must be read, as a name or an
+    # attribute, in src/ or in the benchmark (its tests aside) outside its own
+    # definition; the benchmark counts because unet.load_cascade serves only it
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "regadapt").glob("*.py"))
+    bench = [p for p in sorted((root / "perfbench").glob("*.py")) if p.name != "test_perfbench.py"]
+    public, used = set(), set()
+    for path in package + bench:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if path in package and own and not own.startswith("_"):
+                public.add((path.stem, own))
+            used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    assert {("pipeline", "register_pair"), ("unet", "load_cascade")} <= public
+    assert sorted(f"{m}.{name}" for m, name in public if name not in used) == []

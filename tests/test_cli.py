@@ -593,21 +593,99 @@ def test_evaluate_pool_is_sized_by_the_batch(tmp_path, capsys, monkeypatch):
     assert asked == [2]
 
 
-def test_every_ioconfig_field_is_a_register_flag(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["register", "--moving", "m", "--fixed", "f"],
+    ["baseline", "--moving", "m", "--fixed", "f", "--strategy", "iterate", "--out", "o"],
+], ids=["register", "baseline"])
+def test_every_ioconfig_field_is_a_register_flag(monkeypatch, argv):
     monkeypatch.delenv("REGADAPT_SEED", raising=False)
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices["register"]._actions}
+    actions = {a.dest: a for a in sub.choices[argv[0]]._actions}
     for f in dataclasses.fields(pl.IOConfig):
-        assert f.name in actions, f"IOConfig.{f.name} has no register flag"
+        assert f.name in actions, f"IOConfig.{f.name} has no {argv[0]} flag"
         action = actions[f.name]
         if action.choices:
             value = next(c for c in action.choices if c != f.default)
         else:
             value = f.default + (2 if f.type is int else 0.25)
-        args = parser.parse_args(["register", "--moving", "m", "--fixed", "f",
-                                  action.option_strings[0], str(value)])
+        args = parser.parse_args(argv + [action.option_strings[0], str(value)])
         assert getattr(cli._effective_config(args), f.name) == value != f.default, f.name
+
+
+def test_pretrain_offers_only_the_settings_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    settings = {f.name for f in dataclasses.fields(pl.IOConfig)} | {"config"}
+    dests = {a.dest for a in sub.choices["pretrain"]._actions} & settings
+    cascade = {f.name for f in dataclasses.fields(unet.CascadeConfig)}
+    assert dests == cascade | {"lam", "lncc_window", "config"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "5"), ("--lr", "1.0"), ("--warmup", "3"), ("--tau", "0.9"),
+    ("--dice-every", "1"), ("--gate-down", "2"), ("--gate-window", "5"),
+])
+def test_pretrain_rejects_a_setting_it_does_not_read(tmp_path, capsys, flag, value):
+    ckpt = tmp_path / "c.ckpt"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["pretrain", "--synth-pairs", "1", "--dims", "8", "8", "8",
+                  "--pretrain-steps", "1", "--out", str(ckpt), flag, value, *SMALL])
+    assert exit_info.value.code == 1
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not ckpt.exists()
+
+
+def test_baseline_help_describes_backbone_and_style(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["baseline", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "zero | variational | file:PATH (default: zero)" in text
+    assert "identity | monotone:REF.vol | external:CMD (default: identity)" in text
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("register", "--report"), ("baseline", "--out"), ("evaluate", "--csv"),
+])
+def test_bad_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, command, flag):
+    d = _synth(tmp_path)
+    for name in ("register_pair", "backbone_predict"):
+        monkeypatch.setattr(pl, name, lambda *a, **k: pytest.fail("registered"))
+    monkeypatch.setattr(cli, "_evaluate_one", lambda *a, **k: pytest.fail("evaluated"))
+    pair = ["--moving", str(d / "phantom.vol"), "--fixed", str(d / "fixed.vol")]
+    field = tmp_path / "u.vol"
+    argv = {"register": ["register", *pair, "--out-field", str(field)],
+            "baseline": ["baseline", *pair, "--strategy", "backbone-only"],
+            "evaluate": ["evaluate", "--field", str(d / "true_field.vol")]}[command]
+    bad = str(tmp_path / "missing" / "out")
+    capsys.readouterr()
+    rc = cli.main(argv + [flag, bad])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and f"{flag} {bad}" in err[0]
+    assert not field.exists()
+
+
+def test_evaluate_csv_aggregate_cells_sit_under_their_headers(tmp_path, monkeypatch):
+    import csv
+
+    from regadapt.metrics import MetricReport
+
+    reports = {"a": MetricReport("a", dice_mean=0.5, hd95_mean=1.0, tre_mean=2.0,
+                                 tre_median=2.5, ndv_percent=0.1),
+               "b": MetricReport("b", dice_mean=0.7, hd95_mean=3.0, tre_mean=4.0,
+                                 tre_median=4.5, ndv_percent=0.3)}
+    monkeypatch.setattr(cli, "_evaluate_one", lambda entry: reports[entry["field"]])
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"field": "a"}, {"field": "b"}]))
+    out = tmp_path / "s.csv"
+    assert cli.main(["evaluate", "--batch", str(batch), "--csv", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["pair"] for r in rows] == ["a", "b", "aggregate(n=2)"]
+    assert rows[1]["tre_median"] == "4.500000" and rows[1]["ndv_percent"] == "0.300000"
+    assert rows[2] == {"pair": "aggregate(n=2)", "dice_mean": "0.6000 ± 0.1000",
+                       "hd95_mean": "2.0000 ± 1.0000", "tre_mean": "3.0000 ± 1.0000",
+                       "tre_median": "", "ndv_percent": "0.2000 ± 0.1000"}
 
 
 def _labels_off_grid(tmp_path, d):

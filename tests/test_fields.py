@@ -267,21 +267,6 @@ def test_upsample_linear_ramp_oracle():
     assert np.allclose(out.data[2, 0, 0], expect_line, atol=1e-6)
 
 
-def test_scale_field():
-    u = DisplacementField(np.ones((3, 3, 3, 3), np.float32))
-    assert np.all(fa.scale_field(u, 0.0).data == 0)
-    assert np.array_equal(fa.scale_field(u, 1.0).data, u.data)
-    assert np.allclose(fa.scale_field(u, 0.05).data, 0.05)
-
-
-def test_scale_field_associative_within_ulp():
-    u = DisplacementField(RNG.standard_normal((3, 4, 4, 4)).astype(np.float32))
-    a = fa.scale_field(u, 0.3 * 0.7)
-    b = fa.scale_field(fa.scale_field(u, 0.3), 0.7)
-    ulp = np.spacing(np.abs(a.data).astype(np.float32))
-    assert np.all(np.abs(a.data - b.data) <= ulp)
-
-
 def test_jacobian_zero_field_identity():
     det = fa.jacobian_det(DisplacementField.zero((5, 5, 5)))
     assert np.allclose(det.data, 1.0)
