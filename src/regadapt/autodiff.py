@@ -23,6 +23,10 @@ one cached (n_out, n_in) matrix per spatial axis, applied by _apply_axes as
 one matmul per axis; the graph ops among them (resize, pooling) apply the
 transposed matrices in backward. The engine does no file I/O: parameter
 checkpoints are read and written by volume_io.
+
+BLAS threads: until the weights are updated, only conv3d's kernel gradient
+(one `a @ gp.T` GEMM per column tile) depends on OPENBLAS_NUM_THREADS, so
+bit-identity checks and accuracy tables fix the thread count and record it.
 """
 
 import functools
@@ -189,13 +193,6 @@ def add(x, y):
             y.accumulate_grad(g)
 
     return _result(x.data + y.data, (x, y), bwd, "add")
-
-
-def neg(x):
-    def bwd(g):
-        x.accumulate_grad(-g)
-
-    return _result(-x.data, (x,), bwd, "neg")
 
 
 def scale(x, s):

@@ -321,12 +321,11 @@ def cmd_evaluate(args):
     if args.csv:
         agg = mx.aggregate_reports(reports)
         text = io.StringIO()
-        w = csv.writer(text)
-        w.writerow(mx.MetricReport.CSV_FIELDS)
-        for r in reports:
-            w.writerow(r.csv_row())
-        w.writerow([f"aggregate(n={agg['pairs']})", agg["dice"], agg["hd95"],
-                    agg["tre"], "", agg["ndv"]])
+        w = csv.DictWriter(text, mx.MetricReport.CSV_FIELDS)
+        w.writeheader()
+        w.writerows(r.csv_row() for r in reports)
+        w.writerow({"pair": f"aggregate(n={agg['pairs']})", "dice_mean": agg["dice"],
+                    "hd95_mean": agg["hd95"], "tre_mean": agg["tre"], "ndv_percent": agg["ndv"]})
         _write_file(args.csv, [text.getvalue().encode()])
     for r in reports:
         line = f"{r.pair_id}: dice={r.dice_mean} hd95={r.hd95_mean} " \

@@ -8,13 +8,14 @@ the mean over voxels. The minimization convention is L_sim = -LNCC; raw
 LNCC values are always exposed alongside.
 
 Every loss has one implementation, as autodiff graph ops. lncc and
-diffusion_reg are each one op whose backward is written out in closed
-form; total_loss_graph adds their nodes up. Called with Volume3D,
-DisplacementField or ndarray inputs, lncc, diffusion_reg and total_loss
-lift them to graph leaves that need no gradient, so no backward closures
-are kept, and return floats (and arrays) instead of nodes. LNCC's voxelwise
-algebra and the diffusion adjoint run per block of autodiff._BLOCK elements
-in the same operation order, so no value depends on the block size.
+diffusion_reg are each one op whose backward is written out in closed form;
+total_loss_graph negates the sum of the stage LNCC nodes once and adds the
+weighted regularizer. Called with Volume3D, DisplacementField or ndarray
+inputs, lncc, diffusion_reg and total_loss lift them to graph leaves that
+need no gradient, so no backward closures are kept, and return floats (and
+arrays) instead of nodes. LNCC's voxelwise algebra and the diffusion adjoint
+run per block of autodiff._BLOCK elements in the same operation order, so no
+value depends on the block size.
 
 Border convention: the local moments are zero-padded Gaussian sums, as in
 autodiff.filter_separable. Per-voxel values are therefore exact, and
@@ -27,6 +28,7 @@ a few voxels a side, every voxel is a border voxel, and without centring
 an inverted contrast (b - v) reads as positive correlation.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,15 +181,10 @@ def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):
     """Graph form: returns (scalar loss node, LossReport of its float parts)."""
     if not stage_warps:
         raise ValueError("total_loss: need at least one stage warp")
-    sims = []
-    loss = None
-    for w in stage_warps:
-        s = lncc(w, target, window)
-        sims.append(s)
-        term = ad.neg(s)
-        loss = term if loss is None else ad.add(loss, term)
+    sims = [lncc(w, target, window) for w in stage_warps]
+    sim = functools.reduce(ad.add, sims)
     reg = diffusion_reg(phi_T)
-    loss = ad.add(loss, ad.scale(reg, lam))
+    loss = ad.add(ad.scale(sim, -1.0), ad.scale(reg, lam))
     report = LossReport(
         sim=[s.item() for s in sims],
         reg=reg.item(),

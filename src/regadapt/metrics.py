@@ -119,8 +119,7 @@ class MetricReport:
         def fmt(x):
             return "" if x is None else f"{x:.6f}"
 
-        return [self.pair_id, fmt(self.dice_mean), fmt(self.hd95_mean),
-                fmt(self.tre_mean), fmt(self.tre_median), fmt(self.ndv_percent)]
+        return {"pair": self.pair_id, **{f: fmt(getattr(self, f)) for f in self.CSV_FIELDS[1:]}}
 
 
 def evaluate_pair(field, moving_labels=None, fixed_labels=None, landmarks=None,

@@ -313,7 +313,7 @@ def _mean_dice(moving_labels, fixed_labels, field_data):
     return metrics.dice(metrics.warp_labels(moving_labels, field_data), fixed_labels)[1]
 
 
-def _train_step(cascade, params, state, inputs, cfg, lr, warmup, update=True):
+def _train_step(cascade, state, inputs, cfg, lr, warmup, update=True):
     """One Adam step on the cascade: forward, total loss, backward, update.
 
     inputs is (phi0, moving, fixed) as graph leaves. Returns (field, report,
@@ -334,6 +334,7 @@ def _train_step(cascade, params, state, inputs, cfg, lr, warmup, update=True):
         warps, inputs[2], phis[-1], lam=cfg.lam, window=cfg.lncc_window)
     if not np.isfinite(report.total):
         return field, None, 0.0, "non-finite loss"
+    params = cascade.named_params()
     for p in params.values():
         p.zero_grad()
     if not update:
@@ -360,7 +361,6 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
     """
     if moving.dims != fixed.dims or phi0.dims != moving.dims:
         raise ValueError("instance_optimize: volume/field dims must match")
-    params = cascade.named_params()
     state = ad.AdamState()
     trace = IOTrace()
     inputs = (ad._lift(phi0), ad._lift(moving), ad._lift(fixed))
@@ -370,7 +370,7 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
     for t in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         field, report, lr, error = _train_step(
-            cascade, params, state, inputs, cfg, cfg.base_lr, cfg.warmup, update=t < cfg.steps)
+            cascade, state, inputs, cfg, cfg.base_lr, cfg.warmup, update=t < cfg.steps)
         if report is not None:
             if report.total < best_total:
                 best_total = report.total
@@ -402,7 +402,6 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0, cfg=None):
     if steps < 0:
         raise ValueError(f"pretrain_refiners: steps must be >= 0, got {steps}")
     cfg = cfg or IOConfig()
-    params = cascade.named_params()
     state = ad.AdamState()
     order = np.random.default_rng(int(seed)).permutation(len(problems))
     history = []
@@ -413,7 +412,7 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0, cfg=None):
             moving, fixed = problems[idx]
             cache[idx] = (ad._lift(DisplacementField.zero(moving.dims)),
                           ad._lift(moving), ad._lift(fixed))
-        _, report, _, error = _train_step(cascade, params, state, cache[idx], cfg, lr, 0)
+        _, report, _, error = _train_step(cascade, state, cache[idx], cfg, lr, 0)
         history.append(None if error else report.total)
     return history
 

@@ -1,15 +1,15 @@
 """Multi-scale residual refiners: 3D U-Nets composed onto an initial field.
 
 Three networks predict residual displacement fields at quarter, half, and
-full resolution; each residual is upsampled to the full grid and either
-composed onto or added to the running field. Each U-Net has `depth`
-convolved resolution levels: the encoder pools before each level after the
-first, the coarsest level `enc{depth}` is the bottleneck, and decoders
-`dec{depth-1}` ... `dec1` climb back up, so every pooled grid is convolved.
-Each net runs unpadded on its input's own grid: pooling keeps a ragged last
-block where a dim is odd, and each decoder level resizes to its skip's
-shape. Final conv layers are zero-initialized so a fresh cascade reproduces
-the initialization exactly.
+full resolution, each from one tensor, the stage's pooled (warped, target)
+pair; each residual is upsampled to the full grid and either composed onto
+or added to the running field. Each U-Net has `depth` convolved resolution
+levels: the encoder pools before each level after the first, the coarsest
+level `enc{depth}` is the bottleneck, and decoders `dec{depth-1}` ... `dec1`
+climb back up, so every pooled grid is convolved. Each net runs unpadded on
+its input's own grid: pooling keeps a ragged last block where a dim is odd,
+and each decoder level resizes to its skip's shape. Final conv layers are
+zero-initialized so a fresh cascade reproduces the initialization exactly.
 
 The seven settings that shape a cascade are declared once, in `CascadeConfig`:
 `pipeline.IOConfig` inherits them, and a checkpoint's meta is exactly its fields.
@@ -116,27 +116,22 @@ def init_unet_params(cfg, rng):
     return params
 
 
-def unet_forward(params, warped, target, cfg):
-    """Predict a 3-channel residual field from (warped source, target).
+def unet_forward(params, x, cfg):
+    """Predict a 3-channel residual field from one (1, 2, D, H, W) tensor.
 
-    Inputs are (1, 1, D, H, W) tensors sharing spatial dims, as does the
-    output. The encoder pools before each level after the first, so
-    `cfg.depth` levels are convolved and every pooled grid is; enc{depth}
-    is the bottleneck. Nothing is padded: pooling keeps a ragged last block
-    (a dim of 5 pools to 3), and each decoder level resizes to its skip's
-    shape. Hidden convs add their bias inside leaky_relu; only the final
-    projection uses bias_add.
+    The output has the input's spatial dims. The encoder pools before each
+    level after the first, so `cfg.depth` levels are convolved and every
+    pooled grid is; enc{depth} is the bottleneck. Nothing is padded: pooling
+    keeps a ragged last block (a dim of 5 pools to 3), and each decoder
+    level resizes to its skip's shape. Hidden convs add their bias inside
+    leaky_relu; only the final projection uses bias_add.
 
-    The graph keeps only values a backward reads: every conv's input (the
-    input pair's concat, each pooled tensor, each decoder concat and each
-    activation, which leaky_relu's backward also reads). Each conv3d output
-    is released once its bias and activation are applied, and each decoder
-    resize once it is concatenated: no backward reads those values.
+    The graph keeps only values a backward reads: every conv's input (x,
+    each pooled tensor, each decoder concat and each activation, which
+    leaky_relu's backward also reads). Each conv3d output is released once
+    its bias and activation are applied, and each decoder resize once it is
+    concatenated: no backward reads those values.
     """
-    if warped.shape != target.shape:
-        raise ValueError(f"unet_forward: input dims differ {warped.shape} vs {target.shape}")
-    x = ad.concat_channels([warped, target])
-
     def block(x, prefix):
         for conv in ("conv1", "conv2"):
             c = ad.conv3d(x, params[f"{prefix}.{conv}.w"], stride=1, padding=1)
@@ -197,11 +192,11 @@ def init_cascade(config=None):
 def cascade_forward(phi0, moving, target, cascade):
     """Run every refinement stage; returns (field nodes, stage warp nodes).
 
-    Stage t warps the moving image by the running field, pools the pair to
-    the stage scale, predicts a residual there, rescales it to full
-    resolution, and updates the field by composition or addition. The
-    output-magnitude factor multiplies the finest-stage residual (or every
-    residual under scale_mode="all_residuals").
+    Stage t warps the moving image by the running field, pools it and the target
+    to the stage scale, has the net predict a residual there from their concat
+    (warped first), rescales it to full resolution, and updates the field by
+    composition or addition. The output-magnitude factor multiplies the
+    finest-stage residual (or every residual under scale_mode="all_residuals").
     """
     phi_prev, mv, tg = ad._lift(phi0), ad._lift(moving), ad._lift(target)
     full_dims = mv.shape[2:]
@@ -211,16 +206,10 @@ def cascade_forward(phi0, moving, target, cascade):
     for s, net in zip(cascade.scales, cascade.nets):
         factor = int(round(1.0 / s))
         # I_A o phi_{t-1}: the previous stage's loss warp is the same node
-        warped_full = warps[-1] if warps else fa.warp_tensor(mv, phi_prev)
+        pair = [warps[-1] if warps else fa.warp_tensor(mv, phi_prev), tg]
         if factor > 1:
-            if min(d // factor for d in full_dims) < 1:
-                raise ValueError(f"cascade_forward: scale {s} collapses dims {full_dims}")
-            warped_s = ad.avg_pool3d(warped_full, factor)
-            target_s = ad.avg_pool3d(tg, factor)
-        else:
-            warped_s = warped_full
-            target_s = tg
-        resid = unet_forward(net, warped_s, target_s, cfg)
+            pair = [ad.avg_pool3d(v, factor) for v in pair]
+        resid = unet_forward(net, ad.concat_channels(pair), cfg)
         if cfg.scale_mode == "all_residuals" or s == 1.0:
             resid = ad.scale(resid, cfg.output_scale)
         if factor > 1:

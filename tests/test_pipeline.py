@@ -403,6 +403,21 @@ def test_register_pair_at_depth_one_lowers_the_loss():
     assert np.all(np.isfinite(res.field.data)) and np.any(res.field.data != 0)
 
 
+def test_register_pair_on_a_volume_thinner_than_the_coarsest_pooling():
+    # the 3-voxel axis pools to one voxel at the quarter-scale stage
+    dims = (3, 8, 8)
+    rng = np.random.default_rng(21)
+    moving, fixed = (Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
+                              data=rng.standard_normal(dims).astype(np.float32)) for _ in range(2))
+    cfg = small_cfg(steps=3, base_channels=4, lncc_window=3, gate_window=3)
+    assert len(cfg.scales) == 3
+    res = pl.register_pair(moving, fixed, cfg=cfg)
+    assert res.trace.error is None and len(res.trace.steps) == 3
+    assert all(np.isfinite(s.total) for s in res.trace.steps)
+    assert res.trace.final_ndv is not None and np.isfinite(res.trace.final_ndv)
+    assert res.field.dims == dims and np.all(np.isfinite(res.field.data))
+
+
 @pytest.mark.parametrize("name", ["moving_labels", "fixed_labels"])
 def test_register_pair_rejects_labels_off_the_volume_grid(prob, monkeypatch, name):
     monkeypatch.setattr(losses, "modality_gate", lambda *a, **k: pytest.fail("gate ran"))

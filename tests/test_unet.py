@@ -15,7 +15,7 @@ from regadapt import volume_io as vio
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import synth_problem
 
-from oracles import fd_gradient, max_rel_err, mean_square
+from oracles import bits, fd_gradient, max_rel_err, mean_square
 
 RNG = np.random.default_rng(31)
 
@@ -25,7 +25,7 @@ def test_zero_init_outputs_exact_zero():
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 8, 8, 8)).astype(np.float32))
     b = ad.DiffTensor(RNG.standard_normal((1, 1, 8, 8, 8)).astype(np.float32))
-    out = unet.unet_forward(params, a, b, cfg)
+    out = unet.unet_forward(params, ad.concat_channels([a, b]), cfg)
     assert out.shape == (1, 3, 8, 8, 8)
     assert np.all(out.data == 0.0)
 
@@ -36,7 +36,7 @@ def test_output_dims_preserved_at_quarter_scale():
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(np.zeros((1, 1, 40, 56, 48), np.float32))
     b = ad.DiffTensor(np.zeros((1, 1, 40, 56, 48), np.float32))
-    out = unet.unet_forward(params, a, b, cfg)
+    out = unet.unet_forward(params, ad.concat_channels([a, b]), cfg)
     assert out.shape == (1, 3, 40, 56, 48)
 
 
@@ -45,7 +45,7 @@ def test_odd_dims_padded_and_cropped():
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
     b = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
-    out = unet.unet_forward(params, a, b, cfg)
+    out = unet.unet_forward(params, ad.concat_channels([a, b]), cfg)
     assert out.shape == (1, 3, 6, 9, 11)
 
 
@@ -61,7 +61,7 @@ def test_unet_convolves_the_unpadded_grid(monkeypatch):
     cfg = unet.CascadeConfig(base_channels=2, depth=3)
     params = unet.init_unet_params(cfg, np.random.default_rng(0))
     a = ad.DiffTensor(RNG.standard_normal((1, 1, 6, 9, 11)).astype(np.float32))
-    unet.unet_forward(params, a, a, cfg)
+    unet.unet_forward(params, ad.concat_channels([a, a]), cfg)
     # encoder at full, pooled (ragged) and twice-pooled dims, the last being
     # the bottleneck; decoder back up from the level above it, then final
     assert seen == ([(6, 9, 11)] * 2 + [(3, 5, 6)] * 2 + [(2, 3, 3)] * 2
@@ -168,6 +168,32 @@ def test_gradients_reach_every_net():
     loss.backward()
     for t, net in enumerate(casc.nets, start=1):
         assert any(q.grad is not None and np.any(q.grad != 0) for q in net.values()), f"net{t} got no gradient"
+
+
+def test_each_stage_net_sees_the_pooled_warped_image_then_the_target(monkeypatch):
+    # ragged dims, so every pooled grid has a partial last block
+    seen, real = [], unet.unet_forward
+
+    def spy(params, x, cfg):
+        seen.append(x.data.copy())
+        return real(params, x, cfg)
+
+    monkeypatch.setattr(unet, "unet_forward", spy)
+    dims = (13, 17, 11)
+    rng = np.random.default_rng(14)
+    moving = rng.standard_normal(dims).astype(np.float32)
+    target = rng.standard_normal(dims).astype(np.float32)
+    phi0 = DisplacementField(rng.uniform(-0.5, 0.5, (3,) + dims).astype(np.float32))
+    casc = unet.init_cascade(unet.CascadeConfig(seed=5, base_channels=2, depth=2))
+    for net in casc.nets:
+        net["final.w"].data[:] = rng.standard_normal(net["final.w"].shape).astype(np.float32) * 0.5
+    phis, _ = unet.cascade_forward(phi0, moving, target, casc)
+    prev = [phi0.data] + [phi.data[0] for phi in phis[:-1]]
+    assert not np.array_equal(prev[1], prev[0]) and not np.array_equal(prev[2], prev[1])
+    assert len(seen) == 3
+    for x, f, u in zip(seen, (4, 2, 1), prev):
+        pooled = [ad.avg_pool3d(ad._lift(v), f).data for v in (fa.warp(moving, u), target)]
+        assert bits(x) == bits(np.concatenate(pooled, axis=1)), f
 
 
 def _default_cascade_loss(n=16):
@@ -280,7 +306,7 @@ def test_unet_gradcheck_small():
     def run(theta):
         at = ad.DiffTensor(a)
         bt = ad.DiffTensor(b)
-        return mean_square(unet.unet_forward(theta, at, bt, cfg))
+        return mean_square(unet.unet_forward(theta, ad.concat_channels([at, bt]), cfg))
 
     f64 = {k: ad.DiffTensor(p.data.astype(np.float64), requires_grad=True)
            for k, p in params.items()}
@@ -305,7 +331,7 @@ def test_unet_gradcheck_ragged_pooling():
     b = rng.standard_normal((1, 1, 5, 6, 7))
 
     def run(theta):
-        return mean_square(unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg))
+        return mean_square(unet.unet_forward(theta, ad.concat_channels([ad.DiffTensor(a), ad.DiffTensor(b)]), cfg))
 
     run(params).backward()
     for name in ("enc1.conv1.w", "enc2.conv2.b", "dec1.conv1.b", "dec1.conv2.w", "final.w"):
@@ -326,7 +352,7 @@ def test_unet_gradcheck_depth_one():
     b = rng.standard_normal((1, 1, 5, 6, 7))
 
     def run(theta):
-        return mean_square(unet.unet_forward(theta, ad.DiffTensor(a), ad.DiffTensor(b), cfg))
+        return mean_square(unet.unet_forward(theta, ad.concat_channels([ad.DiffTensor(a), ad.DiffTensor(b)]), cfg))
 
     run(params).backward()
     for name in params:

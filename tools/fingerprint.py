@@ -1,0 +1,118 @@
+"""Hash what a refactor must keep bit for bit, to compare two source trees.
+
+Run it from the root of each checkout, with the same thread count on both:
+
+    OPENBLAS_NUM_THREADS=1 python tools/fingerprint.py
+
+It imports `regadapt` from the `src/` next to this file. The first line is
+the OPENBLAS_NUM_THREADS it ran under (read before NumPy loads OpenBLAS,
+since conv3d's kernel gradient depends on it); then each case prints its
+name and the first 16 hex digits of a sha256 over the dtype, shape and
+bytes of every array it produces. Two trees agree on a case iff the lines
+match. The cases:
+- `step/<config>/<dims>`: one cascade step, with non-zero final layers and
+  a random phi_0, for three CascadeConfigs on 16^3, 13x17x11 and 24^3
+  pairs: the final field, every stage warp, the loss parts and every
+  parameter gradient;
+- `register_pair/32`: three IO steps of the default cascade at 32^3 with
+  Dice in the loop: the field, each step's record, the NDV;
+- `pretrain/24`: four pretraining steps on two 24^3 pairs: the loss
+  history and every parameter after;
+- `iterate_backbone/32`: the variational backbone, k = 2, on a 32^3
+  inverted-contrast pair: the field and its total_loss parts.
+"""
+
+import os
+import sys
+
+THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from regadapt import autodiff as ad  # noqa: E402
+from regadapt import fields as fa  # noqa: E402
+from regadapt import losses  # noqa: E402
+from regadapt import pipeline as pl  # noqa: E402
+from regadapt import unet  # noqa: E402
+from regadapt.volume_io import synth_problem  # noqa: E402
+
+CONFIGS = {
+    "cascade-compose": unet.CascadeConfig(base_channels=4, depth=2, seed=1),
+    "single-add": unet.CascadeConfig(variant="single", update_mode="add", base_channels=4,
+                                     depth=3, seed=2),
+    "all-residuals": unet.CascadeConfig(scale_mode="all_residuals", output_scale=0.1,
+                                        base_channels=3, depth=3, seed=3),
+}
+STEP_DIMS = ((16, 16, 16), (13, 17, 11), (24, 24, 24))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def report_arrays(report):
+    return [np.asarray(report.sim), np.asarray([report.reg, report.total])]
+
+
+def cascade_step(cfg, dims):
+    prob = synth_problem(7, dims=dims)
+    rng = np.random.default_rng(11)
+    phi0 = rng.uniform(-0.3, 0.3, (1, 3) + dims).astype(np.float32)
+    casc = unet.init_cascade(cfg)
+    for net in casc.nets:
+        w = net["final.w"]
+        w.data[:] = rng.standard_normal(w.shape).astype(np.float32) * 0.05
+    phis, warps = unet.cascade_forward(phi0, prob.phantom, prob.fixed, casc)
+    loss, report = losses.total_loss_graph(warps, ad._lift(prob.fixed), phis[-1])
+    values = [phis[-1].data] + [w.data for w in warps] + report_arrays(report)
+    loss.backward()
+    params = casc.named_params()
+    return digest(*values, *(params[name].grad for name in sorted(params)))
+
+
+def register():
+    prob = synth_problem(3, dims=(32, 32, 32))
+    res = pl.register_pair(prob.phantom, prob.fixed, cfg=pl.IOConfig(steps=3, dice_every=1),
+                           moving_labels=prob.labels, fixed_labels=prob.fixed_labels)
+    steps = [np.asarray(s.sim + [s.reg, s.total, s.lr, -1.0 if s.dice is None else s.dice])
+             for s in res.trace.steps]
+    return digest(res.field.data, *steps, np.asarray([res.trace.final_ndv, res.trace.best_step]))
+
+
+def pretrain():
+    problems = [(p.phantom, p.fixed) for p in (synth_problem(s, dims=(24, 24, 24)) for s in (4, 5))]
+    casc = pl.IOConfig().make_cascade()
+    history = pl.pretrain_refiners(problems, casc, steps=4, lr=1e-4, seed=2)
+    params = casc.named_params()
+    return digest(np.asarray(history), *(params[name].data for name in sorted(params)))
+
+
+def backbone():
+    prob = synth_problem(6, dims=(32, 32, 32), contrast="inverted")
+    spec = pl.BackboneSpec(kind="variational")
+    phi = pl.iterate_backbone(spec, prob.remapped, prob.fixed, 2)
+    report = losses.total_loss([fa.warp(prob.remapped, phi)], prob.fixed, phi,
+                               lam=spec.lam, window=spec.window)
+    return digest(phi.data, *report_arrays(report))
+
+
+def main():
+    print(f"OPENBLAS_NUM_THREADS={THREADS}")
+    for name, cfg in CONFIGS.items():
+        for dims in STEP_DIMS:
+            print(f"step/{name}/{'x'.join(map(str, dims))} {cascade_step(cfg, dims)}")
+    print(f"register_pair/32 {register()}")
+    print(f"pretrain/24 {pretrain()}")
+    print(f"iterate_backbone/32 {backbone()}")
+
+
+if __name__ == "__main__":
+    main()
