@@ -14,9 +14,10 @@ outputs and decoder resizes). There is no broadcasting; binary ops require
 exactly matching shapes. Storage is float32 by default (float64 supported for
 gradient checking); per-channel bias sums and the conv3d kernel-gradient
 accumulation run in float64. conv3d runs stride 1 only, with one kernel path
-for its forward pass and both gradients: channels-first GEMMs, (C_out, k*C)
-weights times (k*C, cols) column shifts of the flattened padded grid, so no
-pass transposes between layouts. Every gradient it returns is C-contiguous;
+for its forward pass and both gradients: per column tile of a channels-first
+grid whose rows and planes share their zero padding, one GEMM stacks the
+weights of all k*k (D, H) kernel offsets, and its row blocks are shift-added
+into the output in a fixed order. Every gradient it returns is C-contiguous;
 it keeps no padded copy in the graph and rebuilds it for the kernel gradient.
 Every separable linear op (resize, average pooling, Gaussian filtering) is
 one cached (n_out, n_in) matrix per spatial axis, applied by _apply_axes as
@@ -25,7 +26,8 @@ transposed matrices in backward. The engine does no file I/O: parameter
 checkpoints are read and written by volume_io.
 
 BLAS threads: until the weights are updated, only conv3d's kernel gradient
-(one `a @ gp.T` GEMM per column tile) depends on OPENBLAS_NUM_THREADS, so
+(one `tile @ s.T` GEMM, (k*C_in, cols) @ (cols, k*k*C_out), per column tile,
+on grids of about 8^3 voxels and up) depends on OPENBLAS_NUM_THREADS, so
 bit-identity checks and accuracy tables fix the thread count and record it.
 """
 
@@ -36,8 +38,9 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# output voxels (GEMM columns) per conv3d tile; the wide operands are built per tile
+# input columns per conv3d tile at most, and the bytes one tile buffer may take
 _CONV_TILE_ROWS = 4096
+_CONV_TILE_BUFFER = 4 << 20
 # elements per block of a chain of voxelwise passes: 128 KB per float32 temporary, in L2
 _BLOCK = 32768
 
@@ -290,70 +293,112 @@ def concat_channels(tensors):
 # convolution
 
 
-def _flat_grid(a, grid, p, k):
-    """Channels-first columns (N, C, Dp*Hp*Wp + tail) of the zero grid (Dp, Hp, Wp)
-    that holds a (N, C, D, H, W) at offset p along each axis: kernel offset
-    (i, j, l) is the column shift i*Hp*Wp + j*Wp + l, and the zero tail holds
-    the columns the last offsets read past the grid. One plain copy of a into
-    a zeroed buffer."""
-    N, C = a.shape[:2]
-    Dp, Hp, Wp = grid
-    n = Dp * Hp * Wp
-    flat = np.zeros((N, C, n + (k - 1) * (Wp + 1)), dtype=a.dtype)
-    box = tuple(slice(p, p + d) for d in a.shape[2:])
-    flat[:, :, :n].reshape(N, C, Dp, Hp, Wp)[(slice(None), slice(None)) + box] = a
-    return flat
+def _flat_grid(a, p, k):
+    """(flat, grid): a (N, C, D, H, W) as channels-first columns (N, C, cols)
+    for a k-tap correlation with zero padding p < k, whose output lies on
+    grid = (D + 2p - k + 1, Hp, Wp), Hp = H + p, Wp = W + p. Each row is
+    followed by p zero columns and each plane by p zero rows, so the gap
+    after a row is also the left padding of the next; p*(Hp*Wp + Wp + 1)
+    zeros come first. Output voxel (d, h, w) is column d*Hp*Wp + h*Wp + w,
+    and kernel offset (i, j, l) reads the column i*Hp*Wp + j*Wp + l further
+    on; the zero tail holds what the last offsets read."""
+    N, C, D, H, W = a.shape
+    Hp, Wp = H + p, W + p
+    grid = (D + 2 * p - k + 1, Hp, Wp)
+    front = p * (Hp * Wp + Wp + 1)
+    flat = np.zeros((N, C, grid[0] * Hp * Wp + (k - 1) * (Hp * Wp + Wp + 1)), dtype=a.dtype)
+    flat[:, :, front:front + D * Hp * Wp].reshape(N, C, D, Hp, Wp)[:, :, :, :H, :W] = a
+    return flat, grid
 
 
-def _wide_tiles(flat, grid, k):
-    """Yield (n, r0, r1, ops) per tile of stride-1 output columns on the
-    padded H/W grid: ops[i*k + j], the (k*C, r1-r0) operand of offsets
-    (i, j, 0..k-1), is a column slice of one wide tile that stacks k copies
-    of the tile's columns, each shifted by one more column along W."""
-    Dp, Hp, Wp = grid
-    C = flat.shape[1]
-    rows, halo = (Dp - k + 1) * Hp * Wp, (k - 1) * (Hp * Wp + Wp)
-    for n in range(flat.shape[0]):
-        for r0 in range(0, rows, _CONV_TILE_ROWS):
-            r1 = min(r0 + _CONV_TILE_ROWS, rows)
-            wide = np.empty((k * C, r1 - r0 + halo), dtype=flat.dtype)
+def _tiles(flat, k, cols, rows):
+    """Yield (n, q0, tile, spare) per tile of the columns q0.. below cols of
+    a _flat_grid: tile (k*C, t) stacks k copies of them, each shifted by one
+    more column along W; spare is a free (rows, t) buffer. A tile takes
+    _CONV_TILE_ROWS columns, fewer where a buffer would pass _CONV_TILE_BUFFER."""
+    N, C = flat.shape[:2]
+    step = _CONV_TILE_BUFFER // (max(rows, k * C) * flat.itemsize)
+    step = max(1, min(_CONV_TILE_ROWS, step))
+    buf, spare = np.empty((k * C, step), flat.dtype), np.empty((rows, step), flat.dtype)
+    for n in range(N):
+        for q0 in range(0, cols, step):
+            t = min(step, cols - q0)
             for l in range(k):
-                wide[l * C:(l + 1) * C] = flat[n, :, r0 + l:r1 + halo + l]
-            yield n, r0, r1, [wide[:, i * Hp * Wp + j * Wp:][:, :r1 - r0]
-                              for i in range(k) for j in range(k)]
+                buf[l * C:(l + 1) * C, :t] = flat[n, :, q0 + l:q0 + l + t]
+            yield n, q0, buf[:, :t], spare[:, :t]
 
 
 def _correlate(flat, grid, w, k):
-    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k, Co, k*C):
-    out[n, :, r0:r1] = sum_ij w[ij] @ ops[ij] per tile.
+    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k*Co, k*C),
+    whose row block ij = i*k + j holds the offsets (i, j, 0..k-1): per tile
+    of input columns q, one GEMM w @ tile, and block ij added into output
+    column q - offset(ij). Block 0 is assigned and the others added in ij
+    order, so each output column sums its terms in that order whatever the
+    tiling. Returns (N, Co) + grid; the gap columns hold garbage."""
+    D1, Hp, Wp = grid
+    N, Co, rows = flat.shape[0], w.shape[0] // (k * k), D1 * Hp * Wp
+    offs = [i * Hp * Wp + j * Wp for i in range(k) for j in range(k)]
+    out = np.empty((N, Co, rows), dtype=flat.dtype)
+    for n, q0, tile, y in _tiles(flat, k, rows + offs[-1], w.shape[0]):
+        np.matmul(w, tile, out=y)
+        for ij, off in enumerate(offs):
+            a, b = max(q0 - off, 0), min(q0 + y.shape[1] - off, rows)
+            if a < b:
+                block = y[ij * Co:(ij + 1) * Co, a + off - q0:b + off - q0]
+                if ij:
+                    out[n, :, a:b] += block
+                else:
+                    out[n, :, a:b] = block
+    return out.reshape(N, Co, *grid)
 
-    Returns a channels-first (N, Co, Dp-k+1, Hp-k+1, Wp-k+1) view that crops
-    the columns computed on the padded H/W grid.
-    """
-    Dp, Hp, Wp = grid
-    out = np.empty((flat.shape[0], w.shape[1], (Dp - k + 1) * Hp * Wp), dtype=flat.dtype)
-    for n, r0, r1, ops in _wide_tiles(flat, grid, k):
-        acc = out[n, :, r0:r1]
-        tmp = np.empty_like(acc)
-        np.matmul(w[0], ops[0], out=acc)
-        for a, b in zip(w[1:], ops[1:]):
-            np.matmul(a, b, out=tmp)
-            acc += tmp
-    return out.reshape(-1, w.shape[1], Dp - k + 1, Hp, Wp)[:, :, :, :Hp - k + 1, :Wp - k + 1]
+
+def _crop_in_place(a, crop):
+    """a[..., :crop[0], :crop[1]] as a C-contiguous array in a's own buffer:
+    the gap columns are compacted out one channel at a time, so numpy
+    buffers only that channel's overlap, not a second array of a's size."""
+    N, C, D1, Hp, Wp = a.shape
+    size = D1 * crop[0] * crop[1]
+    packed = a.reshape(-1)
+    for m, channel in enumerate(a.reshape(N * C, D1, Hp, Wp)):
+        packed[m * size:(m + 1) * size].reshape(D1, *crop)[...] = channel[:, :crop[0], :crop[1]]
+    return packed[:N * C * size].reshape(N, C, D1, *crop)
+
+
+def _kernel_grad(x, g, p, k):
+    """The (Co, Ci, k, k, k) kernel gradient for output gradient g, in x's
+    dtype: per tile of x's columns, s stacks the k*k windows of g, each
+    shifted back by its offset, and one GEMM tile @ s.T adds into a float64
+    (k*Ci, k*k*Co) sum."""
+    flat, (D1, Hp, Wp) = _flat_grid(x, p, k)
+    N, Co, _, H1, W1 = g.shape
+    rows, offs = D1 * Hp * Wp, [i * Hp * Wp + j * Wp for i in range(k) for j in range(k)]
+    m = offs[-1]
+    # g on the output grid, with a zero margin of the largest offset on each side
+    gp = np.zeros((N, Co, rows + 2 * m), dtype=g.dtype)
+    gp[:, :, m:m + rows].reshape(N, Co, D1, Hp, Wp)[:, :, :, :H1, :W1] = g
+    gk = np.zeros((k * x.shape[1], k * k * Co))
+    for n, q0, tile, s in _tiles(flat, k, rows + m, k * k * Co):
+        for ij, off in enumerate(offs):
+            s[ij * Co:(ij + 1) * Co] = gp[n, :, m + q0 - off:m + q0 - off + s.shape[1]]
+        gk += tile @ s.T
+    gk = gk.reshape(k, -1, k, k, Co).transpose(4, 1, 2, 3, 0)
+    return np.ascontiguousarray(gk, dtype=x.dtype)
 
 
 def conv3d(x, kernel, stride=1, padding=0):
     """Zero-padded cross-correlation with a (C_out, C_in, k, k, k) kernel.
 
-    Everything stays channels-first. Each column tile of the flattened padded
-    input costs k*k GEMMs (C_out, k*C_in) @ (k*C_in, cols), and the output
-    and input gradient are crop copies of _correlate's result. The input
-    gradient runs the same _correlate on the zero-bordered output gradient
-    with the flipped, transposed kernel; the kernel gradient multiplies the
-    same wide tiles with the transposed output gradient tile, accumulating
-    in float64. The graph keeps the input node, not its padded copy: the
-    backward rebuilds the padded operand, and only when the kernel needs a
-    gradient. stride must be 1. Differentiable wrt both arguments.
+    Everything stays channels-first, on _flat_grid's layout. A tile of input
+    columns costs one GEMM (k*k*C_out, k*C_in) @ (k*C_in, cols), and
+    _correlate shift-adds its row blocks into the output, each output column
+    summing its k*k terms in ij order, as one GEMM per offset did: values and
+    input gradients do not depend on the tile size. The output is a compact
+    copy, so the graph keeps no gap columns. The input gradient is the same
+    _correlate of the output gradient, k-1-p padded, with the flipped,
+    transposed kernel, compacted in place. The kernel gradient (_kernel_grad)
+    rebuilds the padded input, only when the kernel needs a gradient, and
+    frees it before the input gradient runs. stride must be 1.
+    Differentiable wrt both arguments.
     """
     if stride != 1:
         raise ValueError(f"conv3d: only stride 1 is supported, got {stride}")
@@ -364,37 +409,23 @@ def conv3d(x, kernel, stride=1, padding=0):
         raise ValueError(f"conv3d: kernel size must be odd, got {k}")
     if x.shape[1] != Ci:
         raise ValueError(f"conv3d: input has {x.shape[1]} channels, kernel expects {Ci}")
-    N, _, D, H, W = x.shape
+    D, H, W = x.shape[2:]
     if min(D, H, W) + 2 * padding < k:
         raise ValueError("conv3d: output would be empty")
     if padding >= k:
         raise ValueError(f"conv3d: padding {padding} must be below the kernel size {k}")
-    dt, p = x.dtype, padding
-
-    grid = (D + 2 * p, H + 2 * p, W + 2 * p)
-    w = kernel.data.transpose(2, 3, 0, 4, 1).reshape(k * k, Co, k * Ci)
-    out = np.ascontiguousarray(_correlate(_flat_grid(x.data, grid, p, k), grid, w, k))
-    D1, H1, W1 = out.shape[2:]
+    p, H1, W1 = padding, H + 2 * padding - k + 1, W + 2 * padding - k + 1
+    w = kernel.data.transpose(2, 3, 0, 4, 1).reshape(k * k * Co, k * Ci)
+    out = np.ascontiguousarray(_correlate(*_flat_grid(x.data, p, k), w, k)[:, :, :, :H1, :W1])
 
     def bwd(g):
         if kernel.requires_grad:
-            # g on the padded H/W grid, zero on the columns the forward cropped
-            gp = np.zeros((N, Co, D1, grid[1], grid[2]), dtype=dt)
-            gp[:, :, :, :H1, :W1] = g
-            gp = gp.reshape(N, Co, -1)
-            gk = np.zeros((k * k, k * Ci, Co), dtype=np.float64)
-            for n, r0, r1, ops in _wide_tiles(_flat_grid(x.data, grid, p, k), grid, k):
-                for ij, a in enumerate(ops):
-                    gk[ij] += a @ gp[n, :, r0:r1].T
-            gk = gk.reshape(k, k, k, Ci, Co).transpose(4, 3, 0, 1, 2)
-            kernel.accumulate_grad(np.ascontiguousarray(gk, dtype=dt), own=True)
+            kernel.accumulate_grad(_kernel_grad(x.data, g, p, k), own=True)
         if x.requires_grad:
-            # g in a k-1-p zero border
-            gridb = (D + k - 1, H + k - 1, W + k - 1)
             kf = kernel.data[:, :, ::-1, ::-1, ::-1]
-            wb = kf.transpose(2, 3, 1, 4, 0).reshape(k * k, Ci, k * Co)
-            gx = _correlate(_flat_grid(g, gridb, k - 1 - p, k), gridb, wb, k)
-            x.accumulate_grad(np.ascontiguousarray(gx), own=True)
+            wb = kf.transpose(2, 3, 1, 4, 0).reshape(k * k * Ci, k * Co)
+            gx = _correlate(*_flat_grid(g, k - 1 - p, k), wb, k)
+            x.accumulate_grad(_crop_in_place(gx, (H, W)), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")
 

@@ -164,6 +164,9 @@ def _load_pair(args):
     """register's and baseline's effective config, volumes, backbone and style."""
     cfg = _effective_config(args)
     moving, fixed = load_volume(args.moving), load_volume(args.fixed)
+    for path, v in ((args.moving, moving), (args.fixed, fixed)):
+        if min(v.dims) < 2:
+            raise VolumeIOError(f"{path}: dims {v.dims}: every axis needs at least 2 voxels")
     return cfg, moving, fixed, _parse_backbone(args.backbone), _parse_style(args.style)
 
 

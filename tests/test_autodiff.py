@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,56 @@ def test_conv_across_ragged_row_tiles_matches_oracle(monkeypatch, stride, paddin
     assert max_rel_err(xt.grad, gx) < 1e-10
     assert max_rel_err(kt.grad, gk) < 1e-10
     check_gradients(lambda xt, kt: mean_square(ad.conv3d(xt, kt, stride, padding)), [x, k * 0.3])
+
+
+TILE_CASES = [  # (x shape, kernel shape, padding): N = 2, ragged non-cubic dims, 1-voxel axes
+    ((2, 3, 5, 7, 6), (4, 3, 1, 1, 1), 0),
+    ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), 0),
+    ((2, 3, 5, 7, 6), (4, 3, 3, 3, 3), 1),
+    ((2, 3, 6, 7, 9), (4, 3, 5, 5, 5), 1),
+    ((2, 3, 5, 7, 6), (4, 3, 5, 5, 5), 2),
+    ((2, 3, 1, 7, 6), (4, 3, 3, 3, 3), 1),
+    ((2, 3, 4, 1, 6), (4, 3, 5, 5, 5), 2),
+]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("xs,ks,padding", TILE_CASES)
+def test_conv_tile_size_moves_only_the_kernel_gradient(monkeypatch, xs, ks, padding, dtype, tol):
+    # 37 columns per tile, the default, and one tile for all columns: each output
+    # column sums its k*k row blocks in the same order, so values and input
+    # gradients agree bit for bit; the kernel gradient's float64 sum is split by tile
+    x, k = RNG.standard_normal(xs).astype(dtype), RNG.standard_normal(ks).astype(dtype)
+    g = None
+    runs = []
+    for cap in (37, ad._CONV_TILE_ROWS, 1 << 30):
+        monkeypatch.setattr(ad, "_CONV_TILE_ROWS", cap)
+        xt, kt = DiffTensor(x, requires_grad=True), DiffTensor(k, requires_grad=True)
+        out = ad.conv3d(xt, kt, 1, padding)
+        g = RNG.standard_normal(out.shape).astype(dtype) if g is None else g
+        inner(out, g).backward()
+        runs.append((out.data, xt.grad, kt.grad))
+    ref = runs[0]
+    for out, gx, gk in runs[1:]:
+        assert out.tobytes() == ref[0].tobytes() and gx.tobytes() == ref[1].tobytes()
+        assert gk.dtype == dtype and np.abs(gk - ref[2]).max() <= tol * np.abs(ref[2]).max()
+
+
+def test_conv_input_gradient_holds_one_dx_sized_array():
+    x = DiffTensor(RNG.standard_normal((1, 16, 64, 64, 64)).astype(np.float32), requires_grad=True)
+    k = DiffTensor(RNG.standard_normal((2, 16, 3, 3, 3)).astype(np.float32))
+    out = ad.conv3d(x, k, 1, 1)
+    g = np.ones(out.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dx on the grid with one gap column per row and one gap row per plane, compacted
+    # in place, plus the tile buffers and the padded 2-channel output gradient
+    assert x.grad.shape == x.shape and x.grad.flags.c_contiguous
+    assert peak < 1.5 * x.data.nbytes
 
 
 def test_conv_kernel_grad_contiguous_and_adam_unchanged():

@@ -14,7 +14,7 @@ from regadapt import losses
 from regadapt import pipeline as pl
 from regadapt import unet
 from regadapt.volume_io import (LandmarkSet, load_field, load_labels, load_volume,
-                               save_landmarks, save_volume, synth_problem)
+                               save_landmarks, save_volume, synth_problem, Volume3D)
 
 from test_pipeline import _poison_gradient_at, _poison_loss_at
 
@@ -663,6 +663,23 @@ def test_bad_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err.splitlines()
     assert rc == 1 and len(err) == 1 and f"{flag} {bad}" in err[0]
     assert not field.exists()
+
+
+@pytest.mark.parametrize("command", ["register", "baseline"])
+def test_a_volume_thinner_than_two_voxels_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                command):
+    data = np.random.default_rng(0).random((1, 8, 8)).astype(np.float32)
+    paths = [tmp_path / "moving.vol", tmp_path / "fixed.vol"]
+    for path in paths:
+        save_volume(Volume3D(dims=data.shape, spacing=(1.0, 1.0, 1.0), data=data), path)
+    for name in ("register_pair", "iterate_backbone"):
+        monkeypatch.setattr(pl, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    argv = {"register": ["register"],
+            "baseline": ["baseline", "--strategy", "iterate", "--out", str(tmp_path / "b.json")]}
+    rc = cli.main(argv[command] + ["--moving", str(paths[0]), "--fixed", str(paths[1])])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1
+    assert str(paths[0]) in err[0] and "(1, 8, 8)" in err[0]
 
 
 def test_evaluate_csv_aggregate_cells_sit_under_their_headers(tmp_path, monkeypatch):

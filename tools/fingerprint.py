@@ -12,8 +12,11 @@ bytes of every array it produces. Two trees agree on a case iff the lines
 match. The cases:
 - `step/<config>/<dims>`: one cascade step, with non-zero final layers and
   a random phi_0, for three CascadeConfigs on 16^3, 13x17x11 and 24^3
-  pairs: the final field, every stage warp, the loss parts and every
-  parameter gradient;
+  pairs. It prints two hashes: `values=` over the final field, every
+  stage warp and the loss parts, and `grads=` over every parameter
+  gradient, so a change that moves only the kernel gradients' last bits
+  (their float64 sums are partitioned by the conv3d tiling) still shows
+  its values bit for bit;
 - `register_pair/32`: three IO steps of the default cascade at 32^3 with
   Dice in the loop: the field, each step's record, the NDV;
 - `pretrain/24`: four pretraining steps on two 24^3 pairs: the loss
@@ -72,10 +75,10 @@ def cascade_step(cfg, dims):
         w.data[:] = rng.standard_normal(w.shape).astype(np.float32) * 0.05
     phis, warps = unet.cascade_forward(phi0, prob.phantom, prob.fixed, casc)
     loss, report = losses.total_loss_graph(warps, ad._lift(prob.fixed), phis[-1])
-    values = [phis[-1].data] + [w.data for w in warps] + report_arrays(report)
+    values = digest(phis[-1].data, *(w.data for w in warps), *report_arrays(report))
     loss.backward()
     params = casc.named_params()
-    return digest(*values, *(params[name].grad for name in sorted(params)))
+    return f"values={values} grads={digest(*(params[name].grad for name in sorted(params)))}"
 
 
 def register():
