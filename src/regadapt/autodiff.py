@@ -17,8 +17,9 @@ accumulation run in float64. conv3d runs stride 1 only, with one kernel path
 for its forward pass and both gradients: per column tile of a channels-first
 grid whose rows and planes share their zero padding, one GEMM stacks the
 weights of all k*k (D, H) kernel offsets, and its row blocks are shift-added
-into the output in a fixed order. Every gradient it returns is C-contiguous;
-it keeps no padded copy in the graph and rebuilds it for the kernel gradient.
+into the output in a fixed order. Each tensor it pads (the input, and once
+per backward the output gradient) has that one layout, and each result is
+compacted in place to C-contiguous. The graph keeps no padded copy.
 Every separable linear op (resize, average pooling, Gaussian filtering) is
 one cached (n_out, n_in) matrix per spatial axis, applied by _apply_axes as
 one matmul per axis; the graph ops among them (resize, pooling) apply the
@@ -294,27 +295,27 @@ def concat_channels(tensors):
 
 
 def _flat_grid(a, p, k):
-    """(flat, grid): a (N, C, D, H, W) as channels-first columns (N, C, cols)
-    for a k-tap correlation with zero padding p < k, whose output lies on
-    grid = (D + 2p - k + 1, Hp, Wp), Hp = H + p, Wp = W + p. Each row is
-    followed by p zero columns and each plane by p zero rows, so the gap
-    after a row is also the left padding of the next; p*(Hp*Wp + Wp + 1)
-    zeros come first. Output voxel (d, h, w) is column d*Hp*Wp + h*Wp + w,
-    and kernel offset (i, j, l) reads the column i*Hp*Wp + j*Wp + l further
-    on; the zero tail holds what the last offsets read."""
+    """(flat, start, grid): a (N, C, D, H, W) as channels-first columns
+    (N, C, cols) for a k-tap correlation with zero padding p < k, whose output
+    lies on grid = (D + 2p - k + 1, Hp, Wp), Hp = H + p, Wp = W + p. Each row
+    is followed by p zero columns and each plane by p zero rows, so the gap
+    after a row is also the left padding of the next; a margin of
+    M = (k-1)*(Hp*Wp + Wp + 1) zeros, the most any pass reads, comes first
+    and last. Counted from start = M - p*(Hp*Wp + Wp + 1), output voxel
+    (d, h, w) is column d*Hp*Wp + h*Wp + w and offset (i, j, l) reads the
+    column i*Hp*Wp + j*Wp + l further on."""
     N, C, D, H, W = a.shape
     Hp, Wp = H + p, W + p
-    grid = (D + 2 * p - k + 1, Hp, Wp)
-    front = p * (Hp * Wp + Wp + 1)
-    flat = np.zeros((N, C, grid[0] * Hp * Wp + (k - 1) * (Hp * Wp + Wp + 1)), dtype=a.dtype)
-    flat[:, :, front:front + D * Hp * Wp].reshape(N, C, D, Hp, Wp)[:, :, :, :H, :W] = a
-    return flat, grid
+    m = (k - 1) * (Hp * Wp + Wp + 1)
+    flat = np.zeros((N, C, D * Hp * Wp + 2 * m), dtype=a.dtype)
+    flat[:, :, m:m + D * Hp * Wp].reshape(N, C, D, Hp, Wp)[:, :, :, :H, :W] = a
+    return flat, m - p * (Hp * Wp + Wp + 1), (D + 2 * p - k + 1, Hp, Wp)
 
 
 def _tiles(flat, k, cols, rows):
     """Yield (n, q0, tile, spare) per tile of the columns q0.. below cols of
-    a _flat_grid: tile (k*C, t) stacks k copies of them, each shifted by one
-    more column along W; spare is a free (rows, t) buffer. A tile takes
+    flat: tile (k*C, t) stacks k copies of them, each shifted by one more
+    column along W; spare is a free (rows, t) buffer. A tile takes
     _CONV_TILE_ROWS columns, fewer where a buffer would pass _CONV_TILE_BUFFER."""
     N, C = flat.shape[:2]
     step = _CONV_TILE_BUFFER // (max(rows, k * C) * flat.itemsize)
@@ -328,18 +329,18 @@ def _tiles(flat, k, cols, rows):
             yield n, q0, buf[:, :t], spare[:, :t]
 
 
-def _correlate(flat, grid, w, k):
-    """Stride-1 valid cross-correlation of a _flat_grid with w (k*k*Co, k*C),
-    whose row block ij = i*k + j holds the offsets (i, j, 0..k-1): per tile
-    of input columns q, one GEMM w @ tile, and block ij added into output
-    column q - offset(ij). Block 0 is assigned and the others added in ij
-    order, so each output column sums its terms in that order whatever the
-    tiling. Returns (N, Co) + grid; the gap columns hold garbage."""
+def _correlate(flat, start, grid, w, k):
+    """Stride-1 valid cross-correlation of a _flat_grid, read from start, with
+    w (k*k*Co, k*C), whose row block ij = i*k + j holds the offsets (i, j,
+    0..k-1): per tile of input columns q, one GEMM w @ tile, and block ij
+    added into output column q - offset(ij). Block 0 is assigned and the
+    others added in ij order, so each output column sums its terms in that
+    order whatever the tiling. Returns (N, Co) + grid; gap columns hold garbage."""
     D1, Hp, Wp = grid
     N, Co, rows = flat.shape[0], w.shape[0] // (k * k), D1 * Hp * Wp
     offs = [i * Hp * Wp + j * Wp for i in range(k) for j in range(k)]
     out = np.empty((N, Co, rows), dtype=flat.dtype)
-    for n, q0, tile, y in _tiles(flat, k, rows + offs[-1], w.shape[0]):
+    for n, q0, tile, y in _tiles(flat[:, :, start:], k, rows + offs[-1], w.shape[0]):
         np.matmul(w, tile, out=y)
         for ij, off in enumerate(offs):
             a, b = max(q0 - off, 0), min(q0 + y.shape[1] - off, rows)
@@ -364,22 +365,19 @@ def _crop_in_place(a, crop):
     return packed[:N * C * size].reshape(N, C, D1, *crop)
 
 
-def _kernel_grad(x, g, p, k):
-    """The (Co, Ci, k, k, k) kernel gradient for output gradient g, in x's
-    dtype: per tile of x's columns, s stacks the k*k windows of g, each
-    shifted back by its offset, and one GEMM tile @ s.T adds into a float64
-    (k*Ci, k*k*Co) sum."""
-    flat, (D1, Hp, Wp) = _flat_grid(x, p, k)
-    N, Co, _, H1, W1 = g.shape
+def _kernel_grad(x, g, g_start, p, k):
+    """The (Co, Ci, k, k, k) kernel gradient in x's dtype, for the output
+    gradient laid out as g, g_start = _flat_grid(g, k-1-p, k)[:2]: per tile of
+    x's columns, s stacks the k*k windows of g, each shifted back by its
+    offset, and one GEMM tile @ s.T adds into a float64 (k*Ci, k*k*Co) sum."""
+    flat, start, (D1, Hp, Wp) = _flat_grid(x, p, k)
     rows, offs = D1 * Hp * Wp, [i * Hp * Wp + j * Wp for i in range(k) for j in range(k)]
-    m = offs[-1]
-    # g on the output grid, with a zero margin of the largest offset on each side
-    gp = np.zeros((N, Co, rows + 2 * m), dtype=g.dtype)
-    gp[:, :, m:m + rows].reshape(N, Co, D1, Hp, Wp)[:, :, :, :H1, :W1] = g
+    # g's output column 0 sits at the margin both layouts share: start + g_start
+    Co, m = g.shape[1], start + g_start
     gk = np.zeros((k * x.shape[1], k * k * Co))
-    for n, q0, tile, s in _tiles(flat, k, rows + m, k * k * Co):
+    for n, q0, tile, s in _tiles(flat[:, :, start:], k, rows + offs[-1], k * k * Co):
         for ij, off in enumerate(offs):
-            s[ij * Co:(ij + 1) * Co] = gp[n, :, m + q0 - off:m + q0 - off + s.shape[1]]
+            s[ij * Co:(ij + 1) * Co] = g[n, :, m + q0 - off:m + q0 - off + s.shape[1]]
         gk += tile @ s.T
     gk = gk.reshape(k, -1, k, k, Co).transpose(4, 1, 2, 3, 0)
     return np.ascontiguousarray(gk, dtype=x.dtype)
@@ -388,17 +386,16 @@ def _kernel_grad(x, g, p, k):
 def conv3d(x, kernel, stride=1, padding=0):
     """Zero-padded cross-correlation with a (C_out, C_in, k, k, k) kernel.
 
-    Everything stays channels-first, on _flat_grid's layout. A tile of input
-    columns costs one GEMM (k*k*C_out, k*C_in) @ (k*C_in, cols), and
+    Everything stays channels-first, on _flat_grid's one layout. A tile of
+    input columns costs one GEMM (k*k*C_out, k*C_in) @ (k*C_in, cols), and
     _correlate shift-adds its row blocks into the output, each output column
     summing its k*k terms in ij order, as one GEMM per offset did: values and
-    input gradients do not depend on the tile size. The output is a compact
-    copy, so the graph keeps no gap columns. The input gradient is the same
-    _correlate of the output gradient, k-1-p padded, with the flipped,
-    transposed kernel, compacted in place. The kernel gradient (_kernel_grad)
-    rebuilds the padded input, only when the kernel needs a gradient, and
-    frees it before the input gradient runs. stride must be 1.
-    Differentiable wrt both arguments.
+    input gradients do not depend on the tile size. The output and the input
+    gradient are compacted in place (_crop_in_place). Backward lays the output
+    gradient out once, k-1-p padded: _kernel_grad reads its windows (and
+    rebuilds the padded input, only if the kernel needs a gradient), and the
+    input gradient correlates it with the flipped, transposed kernel.
+    stride must be 1. Differentiable wrt both arguments.
     """
     if stride != 1:
         raise ValueError(f"conv3d: only stride 1 is supported, got {stride}")
@@ -416,16 +413,16 @@ def conv3d(x, kernel, stride=1, padding=0):
         raise ValueError(f"conv3d: padding {padding} must be below the kernel size {k}")
     p, H1, W1 = padding, H + 2 * padding - k + 1, W + 2 * padding - k + 1
     w = kernel.data.transpose(2, 3, 0, 4, 1).reshape(k * k * Co, k * Ci)
-    out = np.ascontiguousarray(_correlate(*_flat_grid(x.data, p, k), w, k)[:, :, :, :H1, :W1])
+    out = _crop_in_place(_correlate(*_flat_grid(x.data, p, k), w, k), (H1, W1))
 
     def bwd(g):
+        gl = _flat_grid(g, k - 1 - p, k)
         if kernel.requires_grad:
-            kernel.accumulate_grad(_kernel_grad(x.data, g, p, k), own=True)
+            kernel.accumulate_grad(_kernel_grad(x.data, gl[0], gl[1], p, k), own=True)
         if x.requires_grad:
             kf = kernel.data[:, :, ::-1, ::-1, ::-1]
             wb = kf.transpose(2, 3, 1, 4, 0).reshape(k * k * Ci, k * Co)
-            gx = _correlate(*_flat_grid(g, k - 1 - p, k), wb, k)
-            x.accumulate_grad(_crop_in_place(gx, (H, W)), own=True)
+            x.accumulate_grad(_crop_in_place(_correlate(*gl, wb, k), (H, W)), own=True)
 
     return _result(out, (x, kernel), bwd, "conv3d")
 

@@ -160,14 +160,21 @@ def _check_outputs(args, *flags):
             raise ValueError(f"{flag} {path}: not a file in an existing directory")
 
 
-def _load_pair(args):
-    """register's and baseline's effective config, volumes, backbone and style."""
-    cfg = _effective_config(args)
-    moving, fixed = load_volume(args.moving), load_volume(args.fixed)
-    for path, v in ((args.moving, moving), (args.fixed, fixed)):
+def _load_volumes(moving_path, fixed_path):
+    """A (moving, fixed) pair on one grid with at least 2 voxels per axis."""
+    moving, fixed = load_volume(moving_path), load_volume(fixed_path)
+    for path, v in ((moving_path, moving), (fixed_path, fixed)):
         if min(v.dims) < 2:
             raise VolumeIOError(f"{path}: dims {v.dims}: every axis needs at least 2 voxels")
-    return cfg, moving, fixed, _parse_backbone(args.backbone), _parse_style(args.style)
+    if moving.dims != fixed.dims:
+        raise VolumeIOError(f"{moving_path} and {fixed_path}: dims {moving.dims} vs {fixed.dims}")
+    return moving, fixed
+
+
+def _load_pair(args):
+    """register's and baseline's effective config, volumes, backbone and style."""
+    return (_effective_config(args), *_load_volumes(args.moving, args.fixed),
+            _parse_backbone(args.backbone), _parse_style(args.style))
 
 
 def _exit_status(result):
@@ -246,7 +253,7 @@ def _load_pairs_dir(path):
             stem = name[: -len("_moving.vol")]
             fx = os.path.join(path, stem + "_fixed.vol")
             if os.path.exists(fx):
-                pairs.append((load_volume(os.path.join(path, name)), load_volume(fx)))
+                pairs.append(_load_volumes(os.path.join(path, name), fx))
     return pairs
 
 
@@ -331,9 +338,8 @@ def cmd_evaluate(args):
                     "hd95_mean": agg["hd95"], "tre_mean": agg["tre"], "ndv_percent": agg["ndv"]})
         _write_file(args.csv, [text.getvalue().encode()])
     for r in reports:
-        line = f"{r.pair_id}: dice={r.dice_mean} hd95={r.hd95_mean} " \
-               f"tre={r.tre_mean} ndv={r.ndv_percent:.4f}%"
-        print(line)
+        print(f"{r.pair_id}: dice={r.dice_mean} hd95={r.hd95_mean} "
+              f"tre={r.tre_mean} ndv={r.ndv_percent:.4f}%")
     return 0
 
 
@@ -401,7 +407,7 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--dims", type=int, nargs=3, default=[48, 48, 48])
     s.add_argument("--max-disp", type=float, default=0.3,
-                   help="per-axis displacement cap in voxels, must be < 0.4 (default: 0.3)")
+                   help="per-axis displacement cap in voxels, in [0, 0.4) (default: 0.3)")
     s.add_argument("--contrast", choices=CONTRAST_KINDS, default="identity")
     s.add_argument("--out-dir", required=True)
     s.set_defaults(func=cmd_synth)

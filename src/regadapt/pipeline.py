@@ -34,6 +34,19 @@ class RegistrationAbort(RuntimeError):
 # configuration types
 
 
+def _check_numbers(cfg, low, odd=()):
+    """Raise ValueError unless every float field of the dataclass cfg is finite,
+    each field named in low is at least its bound, and each one in odd is odd."""
+    for f in dataclasses.fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(val):
+            raise ValueError(f"{f.name} must be finite, got {val}")
+        if f.name in low and val < low[f.name]:
+            raise ValueError(f"{f.name} must be >= {low[f.name]}, got {val}")
+        if f.name in odd and val % 2 != 1:
+            raise ValueError(f"{f.name} must be odd, got {val}")
+
+
 @dataclass(frozen=True)
 class BackboneSpec:
     """Initialization source: zero field, a field file, or a built-in
@@ -53,9 +66,9 @@ class BackboneSpec:
             raise ValueError(f"unknown backbone kind {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ValueError("file backbone needs a path")
-        if self.kind == "variational":
-            if self.levels < 1 or self.iters < 1 or self.step <= 0 or self.smooth_sigma <= 0:
-                raise ValueError("variational backbone hyperparameters must be positive")
+        _check_numbers(self, {"levels": 1, "iters": 1, "lam": 0, "window": 1}, odd=("window",))
+        if self.kind == "variational" and (self.step <= 0 or self.smooth_sigma <= 0):
+            raise ValueError("variational backbone step and smooth_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,19 +106,11 @@ class IOConfig(un.CascadeConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        low = {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
-               "lncc_window": 1, "gate_window": 1, "gate_down": 1}
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            if f.type is float and not math.isfinite(val):
-                raise ValueError(f"{f.name} must be finite, got {val}")
-            if f.name in low and val < low[f.name]:
-                raise ValueError(f"{f.name} must be >= {low[f.name]}, got {val}")
+        _check_numbers(self, {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
+                              "lncc_window": 1, "gate_window": 1, "gate_down": 1},
+                       odd=("lncc_window", "gate_window"))
         if not (-1.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (-1, 1), got {self.tau}")
-        for w in (self.lncc_window, self.gate_window):
-            if w % 2 != 1:
-                raise ValueError(f"windows must be odd, got {w}")
 
     def make_cascade(self):
         return un.init_cascade(self)
@@ -168,17 +173,12 @@ def _variational_field(spec, moving, fixed):
     per-iteration displacement budget in voxels; each iterate is Gaussian
     smoothed, which keeps the field diffeomorphic in practice.
     """
-    dims = moving.dims
-    factors = [2 ** (spec.levels - 1 - i) for i in range(spec.levels)]
     u = None
-    for f in factors:
+    for f in (2 ** (spec.levels - 1 - i) for i in range(spec.levels)):
         ia_t = ad.avg_pool3d(ad._lift(moving), f)
         ib_t = ad.avg_pool3d(ad._lift(fixed), f)
         ldims = ia_t.shape[2:]
-        if u is None:
-            u = np.zeros((3,) + ldims, dtype=np.float32)
-        else:
-            u = fa.upsample_field(u, target=ldims)
+        u = np.zeros((3,) + ldims, dtype=np.float32) if u is None else fa.upsample_field(u, ldims)
         for _ in range(spec.iters):
             ut = DiffTensor(u[None], requires_grad=True)
             try:
@@ -204,9 +204,7 @@ def iterate_backbone(spec, moving, fixed, k):
         raise ValueError("k must be >= 1")
     phi = backbone_predict(spec, moving, fixed)
     for _ in range(k - 1):
-        warped = fa.warp(moving, phi)
-        delta = backbone_predict(spec, warped, fixed)
-        phi = fa.compose(phi, delta)
+        phi = fa.compose(phi, backbone_predict(spec, fa.warp(moving, phi), fixed))
     return phi
 
 

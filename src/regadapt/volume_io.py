@@ -289,8 +289,7 @@ def save_params(path, params, meta=None):
     arrays, entries = [], []
     offset = 0
     for name in sorted(params):
-        p = params[name]
-        a = _array_of(p)
+        a = _array_of(params[name])
         arrays.append(a)
         entries.append({"name": name, "shape": list(a.shape), "offset": offset})
         offset += 4 * a.size
@@ -444,11 +443,11 @@ def synth_problem(seed, dims=(48, 48, 48), max_disp=0.3, contrast="identity",
     """Deterministic phantom pair with a diffeomorphic ground-truth field.
 
     max_disp caps the per-axis displacement magnitude in voxels; together
-    with the sigma>=2 smoothing, any value below 0.4 keeps I + grad(u)
+    with the sigma>=2 smoothing, any value in [0, 0.4) keeps I + grad(u)
     strictly diagonally dominant, hence fold-free under central differences.
     """
-    if not max_disp < 0.4:
-        raise ValueError(f"max_disp must be < 0.4 voxels, got {max_disp}")
+    if not 0 <= max_disp < 0.4:
+        raise ValueError(f"max_disp must lie in [0, 0.4) voxels, got {max_disp}")
     if contrast not in CONTRAST_KINDS:
         raise ValueError(f"unknown contrast kind {contrast!r}; choose from {CONTRAST_KINDS}")
     dims, spacing = _grid(dims, spacing)

@@ -158,6 +158,21 @@ def test_conv_input_gradient_holds_one_dx_sized_array():
     assert peak < 1.5 * x.data.nbytes
 
 
+def test_conv_forward_holds_one_output_sized_array():
+    x = DiffTensor(RNG.standard_normal((1, 2, 64, 64, 64)).astype(np.float32))
+    k = DiffTensor(RNG.standard_normal((32, 2, 3, 3, 3)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = ad.conv3d(x, k, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output on the grid with one gap column per row and one gap row per plane,
+    # compacted in place, plus the tile buffers and the padded 2-channel input
+    assert out.shape == (1, 32, 64, 64, 64) and out.data.flags.c_contiguous
+    assert peak < 1.5 * out.data.nbytes
+
+
 def test_conv_kernel_grad_contiguous_and_adam_unchanged():
     x = DiffTensor(RNG.standard_normal((1, 4, 6, 6, 6)).astype(np.float32))
     k = DiffTensor(RNG.standard_normal((5, 4, 3, 3, 3)).astype(np.float32), requires_grad=True)

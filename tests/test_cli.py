@@ -348,6 +348,21 @@ def test_pretrain_empty_dataset_exit_one(tmp_path):
     assert rc == 1
 
 
+def test_pretrain_pair_dims_differ_fails_before_training(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "pairs"
+    data.mkdir()
+    save_volume(synth_problem(1, dims=(8, 8, 8)).phantom, data / "a_moving.vol")
+    save_volume(synth_problem(1, dims=(8, 8, 9)).fixed, data / "a_fixed.vol")
+    monkeypatch.setattr(pl, "pretrain_refiners", lambda *a, **k: pytest.fail("pretraining ran"))
+    ckpt = tmp_path / "c.ckpt"
+    capsys.readouterr()
+    rc = cli.main(["pretrain", "--data-dir", str(data), "--out", str(ckpt), *SMALL])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and "(8, 8, 8) vs (8, 8, 9)" in err[0]
+    assert str(data / "a_moving.vol") in err[0] and str(data / "a_fixed.vol") in err[0]
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf", "-0.0001"])
 def test_pretrain_bad_lr_is_input_error(tmp_path, capsys, monkeypatch, lr):
     monkeypatch.setattr(cli, "synth_problem", lambda *a, **k: pytest.fail("pair synthesized"))
@@ -726,8 +741,15 @@ def _true_field_off_grid(tmp_path, d):
             small / "true_field.vol")
 
 
-@pytest.mark.parametrize("case", [_labels_off_grid, _landmark_off_grid, _true_field_off_grid],
-                         ids=["labels", "landmarks", "true-field"])
+def _fixed_off_grid(tmp_path, d):
+    small = _synth(tmp_path, "small", dims=(12, 12, 13))
+    return (["register", "--moving", str(d / "phantom.vol"), "--fixed", str(small / "fixed.vol")],
+            small / "fixed.vol")
+
+
+@pytest.mark.parametrize("case", [_labels_off_grid, _landmark_off_grid, _true_field_off_grid,
+                                  _fixed_off_grid],
+                         ids=["labels", "landmarks", "true-field", "fixed"])
 def test_input_off_the_volume_grid_fails_before_registering(tmp_path, capsys, monkeypatch, case):
     d = _synth(tmp_path)
     argv, bad = case(tmp_path, d)

@@ -69,6 +69,11 @@ def test_backbone_validation():
         pl.BackboneSpec(kind="mystery")
     with pytest.raises(ValueError, match="path"):
         pl.BackboneSpec(kind="file")
+    for bad, match in (({"step": float("nan")}, "step"), ({"smooth_sigma": float("inf")}, "sigma"),
+                       ({"lam": float("inf")}, "lam"), ({"lam": -0.1}, "lam"),
+                       ({"window": 8}, "window"), ({"window": -1}, "window")):
+        with pytest.raises(ValueError, match=match):
+            pl.BackboneSpec(kind="variational", **bad)
 
 
 def test_iterate_backbone_k1_equals_predict(prob, tmp_path):
@@ -78,6 +83,16 @@ def test_iterate_backbone_k1_equals_predict(prob, tmp_path):
     a = pl.iterate_backbone(spec, prob.phantom, prob.fixed, 1)
     b = pl.backbone_predict(spec, prob.phantom, prob.fixed)
     assert np.array_equal(a.data, b.data)
+
+
+def test_iterate_variational_backbone_k2_composes_a_second_prediction(prob):
+    spec = pl.BackboneSpec(kind="variational", levels=2, iters=3)
+    phi1 = pl.backbone_predict(spec, prob.phantom, prob.fixed)
+    delta = pl.backbone_predict(spec, fa.warp(prob.phantom, phi1), prob.fixed)
+    out = pl.iterate_backbone(spec, prob.phantom, prob.fixed, 2)
+    assert np.abs(phi1.data).max() > 0.01 and np.abs(delta.data).max() > 0.01  # both moves count
+    assert np.array_equal(out.data, fa.compose(phi1, delta).data)
+    assert fa.ndv(out) == 0.0
 
 
 def test_iterate_zero_backbone_stays_zero(prob):

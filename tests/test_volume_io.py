@@ -236,6 +236,8 @@ def test_synth_fields_fold_free():
 def test_synth_max_disp_rejected():
     with pytest.raises(ValueError, match="max_disp"):
         synth_problem(0, dims=(8, 8, 8), max_disp=0.4)
+    with pytest.raises(ValueError, match="max_disp"):
+        synth_problem(0, dims=(8, 8, 8), max_disp=-0.1)
 
 
 @pytest.mark.parametrize("dims", [(0, 5, 5), (5, -1, 5), (5, 5)])

@@ -22,7 +22,12 @@ match. The cases:
 - `pretrain/24`: four pretraining steps on two 24^3 pairs: the loss
   history and every parameter after;
 - `iterate_backbone/32`: the variational backbone, k = 2, on a 32^3
-  inverted-contrast pair: the field and its total_loss parts.
+  inverted-contrast pair: the field and its total_loss parts;
+- `conv3d/<layer>/<dims>`: every conv3d layer shape of the default cascade
+  on 24^3, 32^3 and 48^3 pairs, each under the first net and layer that
+  has it, on random float32 input, kernel and output gradient. It prints
+  `fwd=`, `dx=` and `dk=` apart, so a conv3d change can be checked layer
+  by layer.
 """
 
 import os
@@ -50,6 +55,7 @@ CONFIGS = {
                                         base_channels=3, depth=3, seed=3),
 }
 STEP_DIMS = ((16, 16, 16), (13, 17, 11), (24, 24, 24))
+CONV_DIMS = (24, 32, 48)
 
 
 def digest(*arrays):
@@ -107,6 +113,32 @@ def backbone():
     return digest(phi.data, *report_arrays(report))
 
 
+def conv_cases():
+    """(name, x shape, kernel shape) of each distinct conv3d layer shape of
+    the default cascade on CONV_DIMS cubes. Net t pools its input by
+    1/scale and level i by 2**(i-1) more, each keeping a ragged last block."""
+    cfg, seen = unet.CascadeConfig(), set()
+    for n in CONV_DIMS:
+        for t, s in enumerate(cfg.scales, start=1):
+            for layer, co, ci, k in unet._conv_layers(cfg):
+                level = 1 if layer == "final" else int(layer[3])
+                g = -(-n // (round(1 / s) * 2 ** (level - 1)))
+                shapes = ((1, ci, g, g, g), (co, ci, k, k, k))
+                if shapes not in seen:
+                    seen.add(shapes)
+                    yield f"conv3d/net{t}.{layer}/{n}x{n}x{n}", *shapes
+
+
+def conv(xs, ks):
+    rng = np.random.default_rng(13)
+    x = ad.DiffTensor(rng.standard_normal(xs).astype(np.float32), requires_grad=True)
+    std = np.sqrt(2.0 / np.prod(ks[1:]))
+    w = ad.DiffTensor((rng.standard_normal(ks) * std).astype(np.float32), requires_grad=True)
+    out = ad.conv3d(x, w, stride=1, padding=ks[2] // 2)
+    out._backward(rng.standard_normal(out.shape).astype(np.float32))
+    return f"fwd={digest(out.data)} dx={digest(x.grad)} dk={digest(w.grad)}"
+
+
 def main():
     print(f"OPENBLAS_NUM_THREADS={THREADS}")
     for name, cfg in CONFIGS.items():
@@ -115,6 +147,8 @@ def main():
     print(f"register_pair/32 {register()}")
     print(f"pretrain/24 {pretrain()}")
     print(f"iterate_backbone/32 {backbone()}")
+    for name, xs, ks in conv_cases():
+        print(f"{name} {conv(xs, ks)}")
 
 
 if __name__ == "__main__":
