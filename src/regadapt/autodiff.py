@@ -562,48 +562,34 @@ def filter_separable(a, k1d):
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter plus the shared step counter."""
+    """First/second moments per parameter plus the shared step counter. The
+    betas and eps are constants of the class, not settings."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
 
 def adam_step(params, state, base_lr, warmup_steps=0):
     """One Adam update over a dict of named parameter tensors.
 
     Effective lr is base_lr * min(1, t / warmup_steps) with t starting at 1.
-    Raises GradientError (leaving parameters untouched) on non-finite grads.
+    A missing gradient counts as zeros. Raises GradientError on a non-finite
+    gradient before any parameter, moment or t changes.
     """
-    state.t += 1
-    t = state.t
-    if warmup_steps > 0:
-        lr = base_lr * min(1.0, t / warmup_steps)
-    else:
-        lr = base_lr
-    grads = {}
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
-            state.t -= 1
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise GradientError(f"non-finite gradient for parameter {name!r}")
-        grads[name] = g
+    t = state.t = state.t + 1
+    lr = base_lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else base_lr
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -12,9 +12,10 @@ nested lerps a + t * (b - a) in the cell of floor(p), so t is exactly 0 on
 grid points and a constant input has b - a == 0. A last-plane sample uses
 the cell below, with t == 1, so the field gradient keeps a one-sided slope
 there; its value takes a = b first, so it stays exact. Warps and point
-samples share this kernel, _lerp3, which gathers each corner once per
-call; a warp runs it per block of autodiff._BLOCK voxels, in cache, with
-the same operations per voxel whatever the block size.
+samples share one step from positions to cells, _cells, and one kernel,
+_lerp3, which gathers each corner once per call; a warp runs both per
+block of autodiff._BLOCK voxels, in cache, with the same operations per
+voxel whatever the block size.
 """
 
 import dataclasses
@@ -63,9 +64,11 @@ class DisplacementField:
 # trilinear sampling core of warp_tensor and sample_field_at_points
 
 
-def _sample_prep(dims, pos):
-    """Absolute sample positions (3, ...) -> clamped lower corner floor(p),
-    fraction in [0, 1) and in-bounds masks, per axis.
+def _cells(dims, pos):
+    """Absolute sample positions (3, ...) -> one-sided cells: flat lower
+    corners, steps to the upper corners (0 on a size-1 axis), fractions in
+    [0, 1], last-plane masks and in-bounds masks, per axis. A last-plane
+    sample uses the cell below, with fraction 1, so its slope is one-sided.
 
     Raises FloatingPointError on a non-finite position, before the
     float -> int cast that would turn it into an arbitrary index.
@@ -73,31 +76,16 @@ def _sample_prep(dims, pos):
     if not np.isfinite(pos).all():
         raise FloatingPointError("non-finite displacement")
     itype = np.int32 if np.prod(dims) < 2**31 else np.int64  # flat indices fit
-    i0, t, inb = [], [], []
-    for p, s in zip(pos, dims):
+    f0, steps, tt, edges, inb = 0, [], [], [], []
+    for p, s, stride in zip(pos, dims, (dims[1] * dims[2], dims[2], 1)):
         inb.append((p >= 0) & (p <= s - 1))
         p = np.clip(p, 0.0, s - 1.0)
         base = np.floor(p)
-        i0.append(base.astype(itype))
-        t.append(p - base)  # exact, in p's dtype
-    return i0, t, inb
-
-
-def _cells(i0, t, dims):
-    """One-sided cells: flat lower corners, scalar steps to the upper corners
-    (0 on a size-1 axis), fractions in [0, 1] and last-plane masks, per axis.
-
-    A sample on the last plane uses the cell below, with fraction 1, so its
-    slope is one-sided; _lerp3 returns its upper corner exactly.
-    """
-    D, H, W = dims
-    lo, steps, tt, edges = [], [], [], []
-    for base, ta, s, stride in zip(i0, t, dims, (H * W, W, 1)):
         edges.append(base > max(s - 2, 0))
-        lo.append(base - edges[-1])
-        tt.append(ta + edges[-1])
+        tt.append((p - base) + edges[-1])  # p - base is exact, in p's dtype
         steps.append(stride if s > 1 else 0)
-    return (lo[0] * H + lo[1]) * W + lo[2], steps, tt, edges
+        f0 = f0 * s + (base.astype(itype) - edges[-1])
+    return f0, steps, tt, edges, inb
 
 
 def _lerp(lo, hi, t):
@@ -110,12 +98,12 @@ def _lerp(lo, hi, t):
 
 def _lerp3(vol_flat, f0, steps, tt, edges, slopes=False, a=0):
     """Trilinear values (C,) + f0.shape of vol_flat (C, n) in the cells of
-    _cells, as nested lerps along W, then H, then D, each corner gathered
-    once. Returns (values, values at tt, slopes): with slopes, the slopes
-    [d/dt_D, d/dt_H, d/dt_W] at tt from the same gathers and the values at
-    tt that the level above takes its slope from (None at the top), else []
-    and None. A last-plane sample takes lo = hi first, so it returns its
-    grid value exactly.
+    _cells, the one step from positions to cells, as nested lerps along W,
+    then H, then D, each corner gathered once. Returns (values, values at
+    tt, slopes): with slopes, the slopes [d/dt_D, d/dt_H, d/dt_W] at tt from
+    the same gathers and the values at tt that the level above takes its
+    slope from (None at the top), else [] and None. A last-plane sample
+    takes lo = hi first, so it returns its grid value exactly.
 
     Recurses over the axes from a, f0 being the corners fixed before it. It
     is not a closure: a recursive closure is a reference cycle, which keeps
@@ -159,8 +147,7 @@ def warp_tensor(v, u):
     slopes = np.empty((3, C, n), out.dtype) if u.requires_grad else None
     f0 = tt = None
     for b in ad._blocks(n):
-        i0, t, inb = _sample_prep(dims, grid[:, b] + uf[:, b])
-        f0b, steps, ttb, edges = _cells(i0, t, dims)
+        f0b, steps, ttb, edges, inb = _cells(dims, grid[:, b] + uf[:, b])
         out[:, b], _, sb = _lerp3(vol_flat, f0b, steps, ttb, edges, slopes=u.requires_grad)
         if u.requires_grad:
             for s, m, dst in zip(sb, inb, slopes[:, :, b]):
@@ -288,8 +275,8 @@ def sample_field_at_points(u, pts_vox):
     warp's kernel: sampling at grid + d gives warp(u, d) bit for bit."""
     ua = ad._array_of(u)
     dims = ua.shape[1:]
-    i0, t, _ = _sample_prep(dims, np.asarray(pts_vox, dtype=np.float64).T)
-    return _lerp3(ua.reshape(3, -1), *_cells(i0, t, dims))[0].T
+    f0, steps, tt, edges, _ = _cells(dims, np.asarray(pts_vox, dtype=np.float64).T)
+    return _lerp3(ua.reshape(3, -1), f0, steps, tt, edges)[0].T
 
 
 def warp_labels_array(labels, u):

@@ -130,10 +130,9 @@ class IOStep:
     dice: float = None
 
     def to_dict(self):
-        d = {"step": self.step, "sim": self.sim, "reg": self.reg,
-             "total": self.total, "lr": self.lr, "elapsed_ms": self.elapsed_ms}
-        if self.dice is not None:
-            d["dice"] = self.dice
+        d = dataclasses.asdict(self)
+        if self.dice is None:
+            del d["dice"]
         return d
 
 
@@ -307,10 +306,6 @@ def gated_preprocess(moving, fixed, style, gate_window=11, tau=0.4, down=4):
 # instance optimization
 
 
-def _mean_dice(moving_labels, fixed_labels, field_data):
-    return metrics.dice(metrics.warp_labels(moving_labels, field_data), fixed_labels)[1]
-
-
 def _train_step(cascade, state, inputs, cfg, lr, warmup, update=True):
     """One Adam step on the cascade: forward, total loss, backward, update.
 
@@ -377,7 +372,7 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
             rec = IOStep(step=t, sim=report.sim, reg=report.reg, total=report.total,
                          lr=lr, elapsed_ms=(time.perf_counter() - t0) * 1e3)
             if error is None and want_dice and t % cfg.dice_every == 0:
-                rec.dice = _mean_dice(moving_labels, fixed_labels, field)
+                rec.dice = metrics.dice(metrics.warp_labels(moving_labels, field), fixed_labels)[1]
             trace.steps.append(rec)
         if error is not None:
             trace.error = f"{error} at step {t}"

@@ -56,6 +56,8 @@ class CascadeConfig:
                 raise ValueError(f"unknown {name} {value!r} (use {' | '.join(allowed)})")
         if self.depth < 1 or self.base_channels < 1:
             raise ValueError("depth and base_channels must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def scales(self):

@@ -1,6 +1,7 @@
 """Autodiff engine: op semantics, gradient checks, Adam, checkpoints."""
 
 import ast
+import dataclasses
 import inspect
 import tracemalloc
 from pathlib import Path
@@ -491,6 +492,47 @@ def test_adam_aborts_on_non_finite():
     p.grad = np.full_like(p.data, np.nan)
     with pytest.raises(ad.GradientError):
         ad.adam_step({"p": p}, ad.AdamState(), 1e-3, 0)
+
+
+def test_adam_failed_step_moves_nothing():
+    assert [f.name for f in dataclasses.fields(ad.AdamState)] == ["m", "v", "t"]
+    assert ad.AdamState().eps == 1e-8
+    rng = np.random.default_rng(5)
+    shape = (1, 2, 1, 1, 3)
+    grads = [[rng.standard_normal(shape).astype(np.float32) for _ in range(2)] for _ in range(3)]
+
+    def warmed():
+        params = {n: DiffTensor(np.full(shape, 0.5, np.float32), requires_grad=True)
+                  for n in ("a", "b")}
+        state = ad.AdamState()
+        for step in grads[:2]:
+            for p, g in zip(params.values(), step):
+                p.grad = g.copy()
+            ad.adam_step(params, state, 1e-2, 4)
+        return params, state
+
+    params, state = warmed()
+    data = {n: p.data.tobytes() for n, p in params.items()}
+    moments = {n: (state.m[n].tobytes(), state.v[n].tobytes()) for n in params}
+    params["a"].grad = grads[2][0].copy()
+    params["b"].grad = grads[2][1].copy()
+    params["b"].grad[0, 1, 0, 0, 2] = np.nan
+    with pytest.raises(ad.GradientError, match="'b'"):
+        ad.adam_step(params, state, 1e-2, 4)
+    assert state.t == 2
+    for n, p in params.items():
+        assert p.data.tobytes() == data[n]
+        assert (state.m[n].tobytes(), state.v[n].tobytes()) == moments[n]
+    twin, twin_state = warmed()
+    for ps in (params, twin):
+        for p, g in zip(ps.values(), grads[2]):
+            p.grad = g.copy()
+    lrs = [ad.adam_step(ps, st, 1e-2, 4) for ps, st in ((params, state), (twin, twin_state))]
+    assert lrs[0] == lrs[1] and state.t == twin_state.t == 3
+    for n in params:
+        assert params[n].data.tobytes() == twin[n].data.tobytes()
+        assert state.m[n].tobytes() == twin_state.m[n].tobytes()
+        assert state.v[n].tobytes() == twin_state.v[n].tobytes()
 
 
 # checkpoints

@@ -363,6 +363,27 @@ def test_pretrain_pair_dims_differ_fails_before_training(tmp_path, capsys, monke
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("argv, env, seed", [
+    (["register", "--moving", "{d}/phantom.vol", "--fixed", "{d}/fixed.vol", "--seed", "-1",
+      "--out-field", "{out}"], None, -1),
+    (["pretrain", "--synth-pairs", "1", "--dims", "8", "8", "8", "--out", "{out}"], "-3", -3),
+], ids=["register-flag", "pretrain-env"])
+def test_negative_seed_fails_before_any_work(argv, env, seed, tmp_path, capsys, monkeypatch):
+    d = _synth(tmp_path)
+    if env is None:
+        monkeypatch.delenv("REGADAPT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("REGADAPT_SEED", env)
+    monkeypatch.setattr(pl, "backbone_predict", lambda *a, **k: pytest.fail("backbone ran"))
+    monkeypatch.setattr(pl, "pretrain_refiners", lambda *a, **k: pytest.fail("pretraining ran"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main([a.format(d=d, out=out) for a in argv] + SMALL)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and f"seed must be >= 0, got {seed}" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf", "-0.0001"])
 def test_pretrain_bad_lr_is_input_error(tmp_path, capsys, monkeypatch, lr):
     monkeypatch.setattr(cli, "synth_problem", lambda *a, **k: pytest.fail("pair synthesized"))

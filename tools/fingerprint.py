@@ -27,7 +27,13 @@ match. The cases:
   on 24^3, 32^3 and 48^3 pairs, each under the first net and layer that
   has it, on random float32 input, kernel and output gradient. It prints
   `fwd=`, `dx=` and `dk=` apart, so a conv3d change can be checked layer
-  by layer.
+  by layer;
+- `warp/<C>/<dims>`: warp_tensor of a C = 1 or 3 channel float32 volume on
+  ragged grids with a 1-voxel axis (the larger spans two autodiff blocks),
+  by a random field that leaves the grid and puts every third voxel's
+  sample on whole voxels. It prints `values=`, `dv=` and `du=` apart;
+- `points/<dims>`: sample_field_at_points at interior, last-plane and
+  out-of-bounds points.
 """
 
 import os
@@ -56,6 +62,7 @@ CONFIGS = {
 }
 STEP_DIMS = ((16, 16, 16), (13, 17, 11), (24, 24, 24))
 CONV_DIMS = (24, 32, 48)
+SAMPLE_DIMS = ((5, 1, 7), (37, 1000, 1))
 
 
 def digest(*arrays):
@@ -139,6 +146,29 @@ def conv(xs, ks):
     return f"fwd={digest(out.data)} dx={digest(x.grad)} dk={digest(w.grad)}"
 
 
+def warp_case(C, dims):
+    rng = np.random.default_rng(17)
+    v = ad.DiffTensor(rng.standard_normal((1, C) + dims).astype(np.float32), requires_grad=True)
+    u = rng.uniform(-2.0, 2.0, (1, 3) + dims).astype(np.float32)
+    every_third = u.reshape(3, -1)[:, ::3]
+    every_third[:] = np.round(every_third)
+    u = ad.DiffTensor(u, requires_grad=True)
+    out = fa.warp_tensor(v, u)
+    out._backward(rng.standard_normal(out.shape).astype(np.float32))
+    return f"values={digest(out.data)} dv={digest(v.grad)} du={digest(u.grad)}"
+
+
+def points_case(dims):
+    rng = np.random.default_rng(19)
+    u = rng.standard_normal((3,) + dims).astype(np.float32)
+    top = np.asarray(dims, np.float64) - 1
+    inner = rng.uniform(0.0, 1.0, (8, 3)) * top
+    last = inner.copy()
+    last[np.arange(8), np.arange(8) % 3] = top[np.arange(8) % 3]
+    outside = rng.uniform(-3.0, 3.0, (8, 3)) + np.where(rng.random((8, 3)) < 0.5, 0.0, top)
+    return digest(fa.sample_field_at_points(u, np.concatenate([inner, last, outside])))
+
+
 def main():
     print(f"OPENBLAS_NUM_THREADS={THREADS}")
     for name, cfg in CONFIGS.items():
@@ -149,6 +179,10 @@ def main():
     print(f"iterate_backbone/32 {backbone()}")
     for name, xs, ks in conv_cases():
         print(f"{name} {conv(xs, ks)}")
+    for dims in SAMPLE_DIMS:
+        for C in (1, 3):
+            print(f"warp/{C}/{'x'.join(map(str, dims))} {warp_case(C, dims)}")
+        print(f"points/{'x'.join(map(str, dims))} {points_case(dims)}")
 
 
 if __name__ == "__main__":
