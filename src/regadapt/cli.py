@@ -4,9 +4,9 @@ Subcommands: register, pretrain, synth, evaluate, baseline. Each settings flag
 is built from an IOConfig field, and --help prints its default; pretrain offers
 only the cascade and loss settings it reads. Flag values override config-file
 values (any IOConfig key, for every command), which override IOConfig's
-deployment defaults; REGADAPT_SEED overrides the default seed. Output paths are
-checked before any work. Exit codes: 0 success, 1 I/O or usage errors, 2
-numerical aborts.
+deployment defaults; REGADAPT_SEED overrides the default seed. IOConfig checks
+the result, so file values get the checks flags get. Output paths are checked
+before any work. Exit codes: 0 success, 1 I/O or usage errors, 2 numerical aborts.
 """
 
 import argparse
@@ -93,18 +93,8 @@ def _effective_config(args):
         unknown = set(file_cfg) - set(_IO_DEFAULTS)
         if unknown:
             raise VolumeIOError(f"config file has unknown keys: {sorted(unknown)}")
-        for key, val in file_cfg.items():
-            want = type(_IO_DEFAULTS[key])
-            if type(val) is int and want is float:
-                val = float(val)
-            if type(val) is not want:
-                raise VolumeIOError(f"config file: {key!r} must be {want.__name__}, "
-                                    f"got {type(val).__name__} {val!r}")
-            eff[key] = val
-    for key in _IO_DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            eff[key] = val
+        eff.update(file_cfg)
+    eff.update((key, val) for key, val in vars(args).items() if key in eff and val is not None)
     return pl.IOConfig(**eff)
 
 

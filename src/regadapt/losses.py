@@ -43,7 +43,7 @@ LNCC_EPS = 1e-5
 # LNCC
 
 
-def lncc(a, b, window=9, return_map=False):
+def lncc(a, b, window, return_map=False):
     """Mean local normalized cross-correlation, signed, in [-1, 1].
 
     Accepts Volume3D/ndarray pairs, computed in float32 (returns a float and
@@ -100,7 +100,7 @@ def lncc(a, b, window=9, return_map=False):
 # modality gate
 
 
-def gate_lncc(a, b, window=11, down=4):
+def gate_lncc(a, b, window, down):
     """Low-resolution LNCC the gate thresholds on.
 
     Each pooled volume is mean-centred first, so the zero padding does not
@@ -111,7 +111,7 @@ def gate_lncc(a, b, window=11, down=4):
     return lncc(aa - aa.mean(), bb - bb.mean(), window)
 
 
-def modality_gate(a, b, window=11, tau=0.4, down=4):
+def modality_gate(a, b, window, tau, down):
     """True when the pair looks cross-contrast and should be style-transferred."""
     aa = ad._array_of(a)
     bb = ad._array_of(b)
@@ -177,7 +177,7 @@ class LossReport:
     total: float
 
 
-def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):
+def total_loss_graph(stage_warps, target, phi_T, lam, window):
     """Graph form: returns (scalar loss node, LossReport of its float parts)."""
     if not stage_warps:
         raise ValueError("total_loss: need at least one stage warp")
@@ -194,7 +194,7 @@ def total_loss_graph(stage_warps, target, phi_T, lam=0.1, window=9):
     return loss, report
 
 
-def total_loss(stage_warps, target, phi_T, lam=0.1, window=9):
+def total_loss(stage_warps, target, phi_T, lam, window):
     """Multi-stage loss: sum_t -LNCC(I_A o phi_t, I_B) + lam * diffusion(phi_T).
 
     Returns the LossReport of total_loss_graph on the lifted inputs.

@@ -27,7 +27,7 @@ def warp_labels(labels, u):
 
 def dice(a, b, classes=None):
     """Per-class and mean Dice. Classes absent from both maps are reported
-    as None and excluded from the mean."""
+    as None and excluded from the mean, which is None when no class is left."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"dice: dims mismatch {a.data.shape} vs {b.data.shape}")
     if classes is None:
@@ -44,7 +44,7 @@ def dice(a, b, classes=None):
         d = 2.0 * int(np.count_nonzero(am & bm)) / (na + nb)
         per_class[c] = d
         valid.append(d)
-    mean = float(np.mean(valid)) if valid else float("nan")
+    mean = float(np.mean(valid)) if valid else None
     return per_class, mean
 
 

@@ -7,7 +7,6 @@ Adam over its own parameters only; phi_0 is never touched.
 """
 
 import dataclasses
-import math
 import os
 import subprocess
 import tempfile
@@ -34,19 +33,6 @@ class RegistrationAbort(RuntimeError):
 # configuration types
 
 
-def _check_numbers(cfg, low, odd=()):
-    """Raise ValueError unless every float field of the dataclass cfg is finite,
-    each field named in low is at least its bound, and each one in odd is odd."""
-    for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.type is float and not math.isfinite(val):
-            raise ValueError(f"{f.name} must be finite, got {val}")
-        if f.name in low and val < low[f.name]:
-            raise ValueError(f"{f.name} must be >= {low[f.name]}, got {val}")
-        if f.name in odd and val % 2 != 1:
-            raise ValueError(f"{f.name} must be odd, got {val}")
-
-
 @dataclass(frozen=True)
 class BackboneSpec:
     """Initialization source: zero field, a field file, or a built-in
@@ -66,7 +52,7 @@ class BackboneSpec:
             raise ValueError(f"unknown backbone kind {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ValueError("file backbone needs a path")
-        _check_numbers(self, {"levels": 1, "iters": 1, "lam": 0, "window": 1}, odd=("window",))
+        un._check_settings(self, {"levels": 1, "iters": 1, "lam": 0, "window": 1}, odd=("window",))
         if self.kind == "variational" and (self.step <= 0 or self.smooth_sigma <= 0):
             raise ValueError("variational backbone step and smooth_sigma must be positive")
 
@@ -91,8 +77,8 @@ class StyleTransferSpec:
 
 @dataclass(frozen=True)
 class IOConfig(un.CascadeConfig):
-    """Instance-optimization settings; defaults are the deployment values. The
-    seven cascade settings and their checks are inherited from `unet.CascadeConfig`."""
+    """Instance-optimization settings; defaults are the deployment values. The seven
+    cascade settings come from `unet.CascadeConfig`; `unet._check_settings` checks all."""
 
     steps: int = 50
     base_lr: float = 5e-4
@@ -105,10 +91,9 @@ class IOConfig(un.CascadeConfig):
     dice_every: int = 5
 
     def __post_init__(self):
-        super().__post_init__()
-        _check_numbers(self, {"steps": 1, "base_lr": 0, "lam": 0, "warmup": 0, "dice_every": 0,
-                              "lncc_window": 1, "gate_window": 1, "gate_down": 1},
-                       odd=("lncc_window", "gate_window"))
+        un._check_settings(self, {**self.LOW, "steps": 1, "base_lr": 0, "lam": 0, "warmup": 0,
+                                  "dice_every": 0, "lncc_window": 1, "gate_window": 1,
+                                  "gate_down": 1}, odd=("lncc_window", "gate_window"))
         if not (-1.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (-1, 1), got {self.tau}")
 
@@ -287,7 +272,7 @@ def apply_style(volume, spec):
     return _run_external_style(volume, list(spec.command))
 
 
-def gated_preprocess(moving, fixed, style, gate_window=11, tau=0.4, down=4):
+def gated_preprocess(moving, fixed, style, gate_window, tau, down):
     """Route both volumes through the style transfer iff the gate fires.
 
     When it fires, the returned pair replaces the originals for backbone
@@ -382,10 +367,10 @@ def instance_optimize(moving, fixed, phi0, cascade, cfg, moving_labels=None,
     return out_field, trace
 
 
-def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0, cfg=None):
+def pretrain_refiners(problems, cascade, steps, lr, seed, cfg):
     """Warm up the cascade: one gradient step per pair, cycling a seeded
     shuffle of the problem list at a fixed learning rate (no warmup).
-    phi_0 is the zero field.
+    phi_0 is the zero field, and the loss takes cfg's lam and lncc_window.
 
     problems: list of (moving, fixed) Volume3D pairs. Returns the per-step
     loss history; steps that fail numerically are skipped and recorded as None.
@@ -394,7 +379,8 @@ def pretrain_refiners(problems, cascade, steps=1000, lr=1e-5, seed=0, cfg=None):
         raise ValueError("pretrain_refiners: empty problem list")
     if steps < 0:
         raise ValueError(f"pretrain_refiners: steps must be >= 0, got {steps}")
-    cfg = cfg or IOConfig()
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"pretrain_refiners: lr must be finite and >= 0, got {lr}")
     state = ad.AdamState()
     order = np.random.default_rng(int(seed)).permutation(len(problems))
     history = []

@@ -13,10 +13,13 @@ zero-initialized so a fresh cascade reproduces the initialization exactly.
 
 The seven settings that shape a cascade are declared once, in `CascadeConfig`:
 `pipeline.IOConfig` inherits them, and a checkpoint's meta is exactly its fields.
+Every settings dataclass checks all its fields with `_check_settings` when built.
 """
 
 import dataclasses
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +39,32 @@ MODES = {
 }
 
 
+def _check_settings(cfg, low, odd=()):
+    """Check each field of the frozen dataclass cfg, storing int and float fields as
+    their type: a bool is neither, a float is finite (an int too large is not), a
+    MODES field holds one of its values, one in low meets its bound, one in odd is odd."""
+    for f in dataclasses.fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.type in (int, float):
+            kind, word = ((numbers.Integral, "an int") if f.type is int
+                          else (numbers.Real, "a finite float"))
+            if isinstance(val, bool) or not isinstance(val, kind) or f.type is float and not (
+                    abs(val) <= sys.float_info.max if isinstance(val, int)  # no float() overflow
+                    else math.isfinite(val)):
+                raise ValueError(f"{f.name} must be {word}, got {val!r}")
+            object.__setattr__(cfg, f.name, val := f.type(val))
+        if f.name in MODES and val not in MODES[f.name]:
+            raise ValueError(f"unknown {f.name} {val!r} (use {' | '.join(MODES[f.name])})")
+        if f.name in low and val < low[f.name]:
+            raise ValueError(f"{f.name} must be >= {low[f.name]}, got {val}")
+        if f.name in odd and val % 2 != 1:
+            raise ValueError(f"{f.name} must be odd, got {val}")
+
+
 @dataclass(frozen=True)
 class CascadeConfig:
-    """The seven settings that shape a refiner cascade, their defaults and
-    their checks; a checkpoint's meta is exactly these fields."""
+    """The seven settings that shape a refiner cascade and their defaults; a
+    checkpoint's meta is exactly these fields. _check_settings checks them."""
 
     variant: str = MODES["variant"][0]
     update_mode: str = MODES["update_mode"][0]
@@ -48,16 +73,10 @@ class CascadeConfig:
     base_channels: int = 32
     depth: int = 3
     seed: int = 0
+    LOW = {"base_channels": 1, "depth": 1, "seed": 0}  # their lower bounds; not a field
 
     def __post_init__(self):
-        for name, allowed in MODES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"unknown {name} {value!r} (use {' | '.join(allowed)})")
-        if self.depth < 1 or self.base_channels < 1:
-            raise ValueError("depth and base_channels must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_settings(self, self.LOW)
 
     @property
     def scales(self):
@@ -250,7 +269,7 @@ def load_cascade(path):
                             f"extra {sorted(set(meta) - want)}, missing {sorted(want - set(meta))}")
     try:
         cfg = CascadeConfig(**meta)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise VolumeIOError(f"checkpoint {path}: {e}") from None
     shapes = _param_shapes(cfg)
     net_ids = range(1, len(cfg.scales) + 1)

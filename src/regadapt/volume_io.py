@@ -36,14 +36,12 @@ class VolumeIOError(ValueError):
 
 
 def _grid(dims, spacing):
-    """Checked (dims, spacing) tuples: 3 sizes >= 1 and 3 positive spacings."""
-    dims = tuple(int(d) for d in dims)
-    spacing = tuple(float(s) for s in spacing)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValueError(f"bad dims {dims}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    return dims, spacing
+    """Checked (dims, spacing): 3 integral sizes >= 1 and 3 finite positive spacings."""
+    if len(dims) != 3 or not all(d % 1 == 0 and d >= 1 for d in dims):  # inf % 1 is nan
+        raise ValueError(f"dims must be 3 integers >= 1, got {dims}")
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    return tuple(int(d) for d in dims), tuple(float(s) for s in spacing)
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,10 @@ def _read_manifest(path):
         v = m[key]
         if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
             raise VolumeIOError(f"manifest {mpath}: {key!r} must list 3 numbers, got {v!r}")
-    return (*_grid(m["dims"], m["spacing"]), m["kind"])
+    try:
+        return (*_grid(m["dims"], m["spacing"]), m["kind"])
+    except ValueError as e:
+        raise VolumeIOError(f"manifest {mpath}: {e}") from None
 
 
 def _save(path, kind, dims, spacing, data):

@@ -58,7 +58,7 @@ def test_synth_inverted_fires_gate(tmp_path):
     d = _synth(tmp_path, "inv", seed=2, dims=(16, 16, 16), contrast="inverted")
     remapped = load_volume(d / "remapped.vol")
     fixed = load_volume(d / "fixed.vol")
-    assert modality_gate(remapped, fixed) is True
+    assert modality_gate(remapped, fixed, window=11, tau=0.4, down=4) is True
 
 
 def test_register_self_pair(tmp_path):
@@ -178,7 +178,7 @@ def test_config_file_type_mismatch_is_input_error(tmp_path, capsys):
     args = cli.build_parser().parse_args(["register", "--moving", "m", "--fixed", "f",
                                           "--config", str(cfg_path)])
     cfg = cli._effective_config(args)
-    assert (cfg.lam, cfg.tau) == (1.0, 0.0)
+    assert (cfg.lam, cfg.tau) == (1.0, 0.0) and type(cfg.lam) is type(cfg.tau) is float
 
 @pytest.mark.parametrize("field, flags, config", [
     ("base_lr", [], {"base_lr": float("nan")}),
@@ -199,7 +199,8 @@ def test_non_finite_setting_is_input_error(tmp_path, capsys, field, flags, confi
     assert rc == 1 and len(err) == 1 and field in err[0]
 
 
-@pytest.mark.parametrize("manifest", [5, {"dims": 5}, {"spacing": None}])
+@pytest.mark.parametrize("manifest", [5, {"dims": 5}, {"spacing": None}, {"dims": [12.5, 12, 12]},
+                                      {"dims": [0, 12, 12]}, {"spacing": [1, 0, 1]}])
 def test_malformed_manifest_is_input_error(tmp_path, capsys, manifest):
     d = _synth(tmp_path)
     mpath = d / "phantom.vol.json"
@@ -311,6 +312,28 @@ def test_evaluate_identity_labels_dice_one(tmp_path):
                    "--report", str(rep)])
     assert rc == 0
     assert json.loads(rep.read_text())["dice_mean"] == 1.0
+
+
+def test_evaluate_background_only_labels_report_no_dice(tmp_path):
+    from regadapt.fields import DisplacementField
+    from regadapt.volume_io import LabelMap, save_field, save_labels
+
+    zero, labels = tmp_path / "zero.vol", tmp_path / "background.vol"
+    save_field(DisplacementField.zero((6, 6, 6)), zero)
+    save_labels(LabelMap(dims=(6, 6, 6), spacing=(1.0, 1.0, 1.0),
+                         data=np.zeros((6, 6, 6), np.int32)), labels)
+    rep, table = tmp_path / "rep.json", tmp_path / "rep.csv"
+    rc = cli.main(["evaluate", "--field", str(zero), "--moving-labels", str(labels),
+                   "--fixed-labels", str(labels), "--report", str(rep), "--csv", str(table)])
+    assert rc == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(rep.read_text(), parse_constant=no_constant)
+    assert report["dice_mean"] is None and report["hd95_mean"] is None
+    rows = table.read_text().splitlines()
+    assert rows[1].split(",")[1] == "" and rows[2].split(",")[1] == ""
 
 
 def test_pretrain_zero_steps_checkpoint_equals_fresh(tmp_path):

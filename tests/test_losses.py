@@ -70,7 +70,7 @@ def test_lncc_rejects_bad_args():
     with pytest.raises(ValueError, match="odd"):
         losses.lncc(a, a, 4)
     with pytest.raises(ValueError, match="mismatch"):
-        losses.lncc(a, _textured((4, 4, 5)))
+        losses.lncc(a, _textured((4, 4, 5)), 9)
 
 
 def test_non_positive_windows_raise():
@@ -103,13 +103,13 @@ def test_lncc_gradcheck():
 
 def test_gate_self_pair_does_not_fire():
     p = synth_problem(1, dims=(16, 16, 16))
-    assert losses.modality_gate(p.phantom, p.phantom) is False
-    assert losses.modality_gate(p.phantom, p.fixed) is False
+    assert losses.modality_gate(p.phantom, p.phantom, window=11, tau=0.4, down=4) is False
+    assert losses.modality_gate(p.phantom, p.fixed, window=11, tau=0.4, down=4) is False
 
 
 def test_gate_fires_on_inversion():
     p = synth_problem(1, dims=(32, 32, 32), contrast="inverted")
-    assert losses.modality_gate(p.remapped, p.fixed) is True
+    assert losses.modality_gate(p.remapped, p.fixed, window=11, tau=0.4, down=4) is True
 
 
 @pytest.mark.parametrize("n", [12, 16, 24])
@@ -118,21 +118,22 @@ def test_gate_offset_blind_across_sizes(n):
     # window's zero padding; the inversion's offset must not read as correlation
     inv = synth_problem(2, dims=(n, n, n), contrast="inverted")
     same = synth_problem(2, dims=(n, n, n))
-    assert losses.modality_gate(inv.remapped, inv.fixed) is True
-    assert losses.modality_gate(same.remapped, same.fixed) is False
+    assert losses.modality_gate(inv.remapped, inv.fixed, window=11, tau=0.4, down=4) is True
+    assert losses.modality_gate(same.remapped, same.fixed, window=11, tau=0.4, down=4) is False
 
 
 def test_gate_threshold_is_exact():
     p = synth_problem(2, dims=(16, 16, 16))
     val = losses.gate_lncc(p.phantom, p.fixed, window=11, down=4)
     eps = 1e-6
-    assert losses.modality_gate(p.phantom, p.fixed, tau=val - eps) is False
-    assert losses.modality_gate(p.phantom, p.fixed, tau=val + eps) is True
+    assert losses.modality_gate(p.phantom, p.fixed, window=11, tau=val - eps, down=4) is False
+    assert losses.modality_gate(p.phantom, p.fixed, window=11, tau=val + eps, down=4) is True
 
 
 def test_gate_dims_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        losses.modality_gate(np.zeros((4, 4, 4), np.float32), np.zeros((4, 4, 5), np.float32))
+        losses.modality_gate(np.zeros((4, 4, 4), np.float32), np.zeros((4, 4, 5), np.float32),
+                             window=11, tau=0.4, down=4)
 
 
 # diffusion regularizer
@@ -305,7 +306,8 @@ def test_total_loss_recomposition():
 
 def test_total_loss_defaults_and_errors():
     with pytest.raises(ValueError, match="stage"):
-        losses.total_loss([], _textured((4, 4, 4)), DisplacementField.zero((4, 4, 4)))
+        losses.total_loss([], _textured((4, 4, 4)), DisplacementField.zero((4, 4, 4)),
+                          lam=0.1, window=9)
 
 
 def test_total_loss_graph_matches_volume_path():

@@ -80,6 +80,11 @@ def test_dice_absent_class_excluded():
     assert mean == 1.0
 
 
+def test_dice_without_foreground_is_none():
+    zero = _labels(np.zeros((4, 4, 4), np.int32))
+    assert mx.dice(zero, zero) == ({}, None)
+
+
 def test_dice_symmetric():
     p = synth_problem(3, dims=(12, 12, 12))
     q = synth_problem(4, dims=(12, 12, 12))

@@ -71,7 +71,8 @@ def test_backbone_validation():
         pl.BackboneSpec(kind="file")
     for bad, match in (({"step": float("nan")}, "step"), ({"smooth_sigma": float("inf")}, "sigma"),
                        ({"lam": float("inf")}, "lam"), ({"lam": -0.1}, "lam"),
-                       ({"window": 8}, "window"), ({"window": -1}, "window")):
+                       ({"window": 8}, "window"), ({"window": -1}, "window"),
+                       ({"iters": 2.0}, "iters must be an int")):
         with pytest.raises(ValueError, match=match):
             pl.BackboneSpec(kind="variational", **bad)
 
@@ -143,7 +144,7 @@ def test_monotone_remap_constant_errors(prob):
 def test_gate_same_contrast_passthrough(prob):
     style = pl.StyleTransferSpec(kind="monotone_remap",
                                  reference=pl.reference_histogram(prob.phantom))
-    ja, jb, fired = pl.gated_preprocess(prob.phantom, prob.fixed, style)
+    ja, jb, fired = pl.gated_preprocess(prob.phantom, prob.fixed, style, gate_window=11, tau=0.4, down=4)
     assert fired is False
     assert ja is prob.phantom and jb is prob.fixed
 
@@ -152,14 +153,15 @@ def test_gate_fires_and_improves_lncc():
     p = synth_problem(3, dims=(24, 24, 24), contrast="inverted")
     style = pl.StyleTransferSpec(kind="monotone_remap",
                                  reference=pl.reference_histogram(p.fixed))
-    ja, jb, fired = pl.gated_preprocess(p.remapped, p.fixed, style)
+    ja, jb, fired = pl.gated_preprocess(p.remapped, p.fixed, style, gate_window=11, tau=0.4, down=4)
     assert fired is True
     assert losses.lncc(ja, jb, 11) > losses.lncc(p.remapped, p.fixed, 11)
 
 
 def test_gate_identity_style_degenerate():
     p = synth_problem(3, dims=(16, 16, 16), contrast="inverted")
-    ja, jb, fired = pl.gated_preprocess(p.remapped, p.fixed, pl.StyleTransferSpec())
+    ja, jb, fired = pl.gated_preprocess(p.remapped, p.fixed, pl.StyleTransferSpec(),
+                                        gate_window=11, tau=0.4, down=4)
     assert fired is True
     assert np.array_equal(ja.data, p.remapped.data)
     assert np.array_equal(jb.data, p.fixed.data)
@@ -292,7 +294,7 @@ def test_non_finite_displacement_names_its_step(prob):
     assert trace.steps == [] and trace.best_step == -1
     with pytest.warns(RuntimeWarning):
         history = pl.pretrain_refiners([(prob.phantom, prob.fixed)], _diverging_cascade(cfg),
-                                       steps=2, cfg=cfg)
+                                       steps=2, lr=1e-5, seed=0, cfg=cfg)
     assert history == [None, None]
 
 
@@ -334,9 +336,11 @@ def test_ioconfig_validation():
         pl.IOConfig(lncc_window=8)
     for bad in ({"base_lr": np.nan}, {"lam": np.inf}, {"output_scale": -np.inf},
                 {"base_lr": -1e-4}, {"lam": -0.1}, {"warmup": -1}, {"dice_every": -1},
-                {"lncc_window": -1}, {"gate_window": -3}, {"gate_down": 0}):
+                {"lncc_window": -1}, {"gate_window": -3}, {"gate_down": 0},
+                {"steps": 2.5}, {"depth": 2.0}, {"seed": True}, {"output_scale": "x"}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             pl.IOConfig(**bad)
+    assert type(pl.IOConfig(lam=1).lam) is float
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -448,7 +452,8 @@ def test_pretrain_zero_steps_no_change(prob):
     cfg = small_cfg()
     casc = cfg.make_cascade()
     before = {k: p.data.copy() for k, p in casc.named_params().items()}
-    hist = pl.pretrain_refiners([(prob.phantom, prob.fixed)], casc, steps=0, lr=1e-5)
+    hist = pl.pretrain_refiners([(prob.phantom, prob.fixed)], casc, steps=0, lr=1e-5, seed=0,
+                                cfg=pl.IOConfig())
     assert hist == []
     for k, p in casc.named_params().items():
         assert np.array_equal(before[k], p.data)
@@ -466,12 +471,24 @@ def test_pretrain_deterministic(prob):
     assert snaps[0] == snaps[1]
 
 
+@pytest.mark.parametrize("lr", [float("nan"), -1.0])
+def test_pretrain_bad_lr_rejected_before_any_step(prob, lr):
+    casc = small_cfg().make_cascade()
+    before = {k: p.data.copy() for k, p in casc.named_params().items()}
+    with pytest.raises(ValueError, match="lr"):
+        pl.pretrain_refiners([(prob.phantom, prob.fixed)], casc, steps=2, lr=lr, seed=0,
+                             cfg=small_cfg())
+    for k, p in casc.named_params().items():
+        assert np.array_equal(before[k], p.data)
+
+
 def test_pretrain_empty_list():
     with pytest.raises(ValueError, match="empty"):
-        pl.pretrain_refiners([], unet.init_cascade(unet.CascadeConfig(seed=0)), steps=1, lr=1e-5)
+        pl.pretrain_refiners([], unet.init_cascade(unet.CascadeConfig(seed=0)), steps=1, lr=1e-5,
+                             seed=0, cfg=pl.IOConfig())
 
 
 def test_pretrain_negative_steps_rejected(prob):
     with pytest.raises(ValueError, match="steps"):
         pl.pretrain_refiners([(prob.phantom, prob.fixed)], small_cfg().make_cascade(),
-                             steps=-1, lr=1e-5)
+                             steps=-1, lr=1e-5, seed=0, cfg=pl.IOConfig())

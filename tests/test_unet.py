@@ -164,7 +164,8 @@ def test_gradients_reach_every_net():
         net["final.w"].data[:] = rng.standard_normal(net["final.w"].shape).astype(np.float32) * 0.01
     phis, warps = unet.cascade_forward(DisplacementField.zero((16, 16, 16)),
                                        p.phantom, p.fixed, casc)
-    loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1])
+    loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1],
+                                      lam=0.1, window=9)
     loss.backward()
     for t, net in enumerate(casc.nets, start=1):
         assert any(q.grad is not None and np.any(q.grad != 0) for q in net.values()), f"net{t} got no gradient"
@@ -203,7 +204,8 @@ def _default_cascade_loss(n=16):
     casc = unet.init_cascade(unet.CascadeConfig(seed=4))
     phis, warps = unet.cascade_forward(DisplacementField.zero((n, n, n)),
                                        p.phantom, p.fixed, casc)
-    loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1])
+    loss, _ = losses.total_loss_graph(warps, ad.DiffTensor(p.fixed.data[None, None]), phis[-1],
+                                      lam=0.1, window=9)
     return loss, phis + warps, casc
 
 
@@ -425,10 +427,15 @@ def test_cascade_checkpoint_rejects_meta_key_set(tmp_path, edit, keys):
 
 
 @pytest.mark.parametrize("key, value, words", [
-    ("depth", 0, "depth and base_channels must be >= 1"),
+    ("depth", 0, "depth must be >= 1, got 0"),
     ("variant", "bogus", "unknown variant 'bogus'"),
-    ("depth", "3", "not supported"),  # a str against an int: CascadeConfig's TypeError
-], ids=["depth-0", "unknown-variant", "depth-str"])
+    ("depth", "3", "depth must be an int, got '3'"),
+    ("depth", 1.5, "depth must be an int, got 1.5"),
+    ("seed", 0.5, "seed must be an int, got 0.5"),
+    ("output_scale", float("nan"), "output_scale must be a finite float, got nan"),
+    ("output_scale", "x", "output_scale must be a finite float, got 'x'"),
+], ids=["depth-0", "unknown-variant", "depth-str", "depth-1.5", "seed-0.5", "output-scale-nan",
+        "output-scale-str"])
 def test_cascade_checkpoint_with_a_bad_setting_names_its_file(tmp_path, key, value, words):
     path, manifest_path = _small_checkpoint(tmp_path)
     manifest = json.loads(manifest_path.read_text())

@@ -87,7 +87,8 @@ def cascade_step(cfg, dims):
         w = net["final.w"]
         w.data[:] = rng.standard_normal(w.shape).astype(np.float32) * 0.05
     phis, warps = unet.cascade_forward(phi0, prob.phantom, prob.fixed, casc)
-    loss, report = losses.total_loss_graph(warps, ad._lift(prob.fixed), phis[-1])
+    loss, report = losses.total_loss_graph(warps, ad._lift(prob.fixed), phis[-1], lam=0.1,
+                                           window=9)
     values = digest(phis[-1].data, *(w.data for w in warps), *report_arrays(report))
     loss.backward()
     params = casc.named_params()
@@ -106,7 +107,7 @@ def register():
 def pretrain():
     problems = [(p.phantom, p.fixed) for p in (synth_problem(s, dims=(24, 24, 24)) for s in (4, 5))]
     casc = pl.IOConfig().make_cascade()
-    history = pl.pretrain_refiners(problems, casc, steps=4, lr=1e-4, seed=2)
+    history = pl.pretrain_refiners(problems, casc, steps=4, lr=1e-4, seed=2, cfg=pl.IOConfig())
     params = casc.named_params()
     return digest(np.asarray(history), *(params[name].data for name in sorted(params)))
 
