@@ -15,7 +15,9 @@ there; its value takes a = b first, so it stays exact. Warps and point
 samples share one step from positions to cells, _cells, and one kernel,
 _lerp3, which gathers each corner once per call; a warp runs both per
 block of autodiff._BLOCK voxels, in cache, with the same operations per
-voxel whatever the block size.
+voxel whatever the block size. The Jacobian runs per slab of whole
+D-planes that fill a block, with one neighbour plane each side, and the
+label warp builds one flat index in place: neither moves a bit.
 """
 
 import dataclasses
@@ -245,19 +247,21 @@ def jacobian_det(u):
     ua = ad._array_of(u)
     if min(ua.shape[1:]) < 2:
         raise ValueError("jacobian_det needs at least 2 voxels per axis")
-    J = [[None] * 3 for _ in range(3)]
-    for comp in range(3):
-        grads = np.gradient(ua[comp].astype(np.float64), axis=(0, 1, 2))
-        for axis in range(3):
-            J[comp][axis] = grads[axis] + (1.0 if comp == axis else 0.0)
-    det = (
-        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
-        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
-        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
-    )
+    det = np.empty(ua.shape[1:], np.float32)
+    for z in ad._blocks(len(det), det[0].size):
+        lo = max(z.start - 1, 0)
+        grads = np.gradient(ua[:, lo:z.stop + 1].astype(np.float64), axis=(1, 2, 3))
+        for a, ga in enumerate(grads):  # in place: d u_c / d x_a + (1.0 if c == a else 0.0)
+            ga += np.eye(3)[a, :, None, None, None]
+        J = [[grads[a][c, z.start - lo:z.stop - lo] for a in range(3)] for c in range(3)]
+        det[z] = (
+            J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
+            - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
+            + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
+        )
     from .volume_io import Volume3D
 
-    return Volume3D(dims=det.shape, spacing=(1.0, 1.0, 1.0), data=det.astype(np.float32))
+    return Volume3D(dims=det.shape, spacing=(1.0, 1.0, 1.0), data=det)
 
 
 def ndv(u):
@@ -285,6 +289,9 @@ def warp_labels_array(labels, u):
     dims = labels.shape
     if tuple(ua.shape[1:]) != tuple(dims):
         raise ValueError(f"warp_labels: dims mismatch {dims} vs {ua.shape[1:]}")
-    pos = _grid(dims, ua.dtype) + ua
-    idx = [np.clip(np.rint(pos[a]).astype(np.int64), 0, dims[a] - 1) for a in range(3)]
-    return labels[idx[0], idx[1], idx[2]]
+    grid, p, idx = _grid(dims, ua.dtype), np.empty(dims, ua.dtype), np.zeros(dims, np.intp)
+    for a in range(3):  # one flat index, built in place
+        np.clip(np.rint(np.add(grid[a], ua[a], out=p), out=p), 0, dims[a] - 1, out=p)
+        idx *= dims[a]
+        np.add(idx, p, out=idx, dtype=np.intp, casting="unsafe")
+    return np.take(labels, idx)

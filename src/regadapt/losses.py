@@ -15,7 +15,10 @@ inputs, lncc, diffusion_reg and total_loss lift them to graph leaves that
 need no gradient, so no backward closures are kept, and return floats (and
 arrays) instead of nodes. LNCC's voxelwise algebra and the diffusion adjoint
 run per block of autodiff._BLOCK elements in the same operation order, so no
-value depends on the block size.
+value depends on the block size. The diffusion node keeps no differences:
+its forward holds one axis's at a time, and its backward recomputes them per
+slab of whole D-planes, with one neighbour plane for the D-differences, so
+its gradient is the one all-volume differences would give, bit for bit.
 
 Border convention: the local moments are zero-padded Gaussian sums, as in
 autodiff.filter_separable. Per-voxel values are therefore exact, and
@@ -73,6 +76,8 @@ def lncc(a, b, window, return_map=False):
         vb[s] = vb[s] - mb[s] * mb[s] + eps
         den[s] = np.sqrt(va[s] * vb[s])
         c[s] = (c[s] - ma[s] * mb[s]) / den[s]
+    va = va if at.requires_grad else None  # the backward reads v_x only for a gradient of x
+    vb = vb if bt.requires_grad else None
 
     def bwd(g):
         gn = c.dtype.type(g.reshape(-1)[0] / n)
@@ -145,17 +150,21 @@ def diffusion_reg(u):
     of each difference d and subtracts it from the lower end.
     """
     ut = ad._lift(u, np.float64)
-    diffs = [np.diff(ut.data, axis=axis) for axis in (2, 3, 4)]
-    count = sum(d.size for d in diffs)
-    total = sum(np.square(d).sum(dtype=np.float64) for d in diffs)
+    count = total = 0
+    for axis in (2, 3, 4):  # one difference array at a time
+        d = np.diff(ut.data, axis=axis)
+        count += d.size
+        total += np.square(d, out=d).sum(dtype=np.float64)
+        del d
 
     def bwd(g):
         grad = np.empty_like(ut.data)
         for z in ad._blocks(grad.shape[2], grad[0, 0, 0].size):  # slabs of D-planes
             slab, term = grad[:, :, z], np.empty_like(grad[:, :, z])
-            _diff_adjoint(diffs[0], 2, slab, z.start)
-            for axis, d in zip((3, 4), diffs[1:]):
-                slab += _diff_adjoint(d[:, :, z], axis, term)
+            lo = max(z.start - 1, 0)  # the D-differences reach one plane each side
+            _diff_adjoint(np.diff(ut.data[:, :, lo:z.stop + 1], axis=2), 2, slab, z.start - lo)
+            for axis in (3, 4):
+                slab += _diff_adjoint(np.diff(ut.data[:, :, z], axis=axis), axis, term)
             slab *= ut.dtype.type(-2.0 * g.reshape(-1)[0] / count)
         ut.accumulate_grad(grad, own=True)
 

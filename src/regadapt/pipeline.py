@@ -164,22 +164,24 @@ def _variational_field(spec, moving, fixed):
         ldims = ia_t.shape[2:]
         u = np.zeros((3,) + ldims, dtype=np.float32) if u is None else fa.upsample_field(u, ldims)
         for _ in range(spec.iters):
-            ut = DiffTensor(u[None], requires_grad=True)
-            try:
-                warped = fa.warp_tensor(ia_t, ut)
-            except FloatingPointError as e:
-                raise RegistrationAbort(f"variational backbone diverged ({e})") from None
-            loss, report = losses.total_loss_graph([warped], ib_t, ut, lam=spec.lam,
-                                                   window=spec.window)
-            if not np.isfinite(report.total):
-                raise RegistrationAbort("variational backbone diverged (non-finite loss)")
-            loss.backward()
-            g = ut.grad[0]
-            peak = float(np.abs(g).max())
-            if peak > 0:
-                u = u - (spec.step / peak) * g
-            u = ad.gaussian_reflect(u, spec.smooth_sigma)
+            u = ad.gaussian_reflect(_descent_step(spec, u, ia_t, ib_t), spec.smooth_sigma)
     return DisplacementField(u.astype(np.float32))
+
+
+def _descent_step(spec, u, ia_t, ib_t):
+    """u moved by step voxels where its gradient peaks; the graph dies on return."""
+    ut = DiffTensor(u[None], requires_grad=True)
+    try:
+        warped = fa.warp_tensor(ia_t, ut)
+    except FloatingPointError as e:
+        raise RegistrationAbort(f"variational backbone diverged ({e})") from None
+    loss, report = losses.total_loss_graph([warped], ib_t, ut, lam=spec.lam, window=spec.window)
+    if not np.isfinite(report.total):
+        raise RegistrationAbort("variational backbone diverged (non-finite loss)")
+    loss.backward()
+    g = ut.grad[0]
+    peak = float(np.abs(g).max())
+    return u - (spec.step / peak) * g if peak > 0 else u
 
 
 def iterate_backbone(spec, moving, fixed, k):

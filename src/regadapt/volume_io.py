@@ -23,6 +23,7 @@ import json
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ def _grid(dims, spacing):
     """Checked (dims, spacing): 3 integral sizes >= 1 and 3 finite positive spacings."""
     if len(dims) != 3 or not all(d % 1 == 0 and d >= 1 for d in dims):  # inf % 1 is nan
         raise ValueError(f"dims must be 3 integers >= 1, got {dims}")
-    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+    if len(spacing) != 3 or not all(0 < s <= sys.float_info.max if isinstance(s, int)  # exact:
+                                    else 0 < s < math.inf for s in spacing):  # no float() overflow
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
     return tuple(int(d) for d in dims), tuple(float(s) for s in spacing)
 

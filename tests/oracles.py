@@ -139,6 +139,19 @@ def diffusion_oracle(u):
     return total / count
 
 
+def jacobian_det_oracle(u):
+    """float32 det(I + grad u) of (3, D, H, W) u, from np.gradient over the
+    whole volume at once, in float64."""
+    J = [[np.gradient(u[c].astype(np.float64), axis=a) + (1.0 if c == a else 0.0)
+          for a in range(3)] for c in range(3)]
+    det = (
+        J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
+        - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
+        + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0])
+    )
+    return det.astype(np.float32)
+
+
 def midrank_remap_oracle(data, ref_counts, ref_edges):
     """Quantile mapping per voxel: its midrank (#below + #at-or-below) / 2n,
     counted over every voxel in float64, through the reference CDF."""

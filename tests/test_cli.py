@@ -200,7 +200,8 @@ def test_non_finite_setting_is_input_error(tmp_path, capsys, field, flags, confi
 
 
 @pytest.mark.parametrize("manifest", [5, {"dims": 5}, {"spacing": None}, {"dims": [12.5, 12, 12]},
-                                      {"dims": [0, 12, 12]}, {"spacing": [1, 0, 1]}])
+                                      {"dims": [0, 12, 12]}, {"spacing": [1, 0, 1]},
+                                      {"spacing": [1, 10 ** 400, 1]}])
 def test_malformed_manifest_is_input_error(tmp_path, capsys, manifest):
     d = _synth(tmp_path)
     mpath = d / "phantom.vol.json"

@@ -1,5 +1,7 @@
 """Field algebra: warping, composition, upsampling, Jacobian analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from regadapt import fields as fa
 from regadapt.fields import DisplacementField
 from regadapt.volume_io import Volume3D, synth_problem
 
-from oracles import bits, fd_gradient, inner, max_rel_err, warp_field_grad_oracle, warp_oracle
+from oracles import (bits, fd_gradient, inner, jacobian_det_oracle, max_rel_err,
+                     warp_field_grad_oracle, warp_oracle)
 
 RNG = np.random.default_rng(99)
 
@@ -291,6 +294,42 @@ def test_ndv_synth_guarantee():
         p = synth_problem(seed, dims=(16, 16, 16), max_disp=0.3)
         det = fa.jacobian_det(p.true_field)
         assert det.data.min() > 0
+
+
+@pytest.mark.parametrize("dims", [(2, 5, 7), (13, 4, 3), (17, 3, 2), (2, 2, 2)])
+def test_jacobian_across_ragged_slabs_is_the_whole_volume_expression(monkeypatch, dims):
+    # 37 voxels per block: slabs of one plane, or of several and a last short one,
+    # then one slab; seams take central differences, the faces one-sided ones
+    u = np.random.default_rng(31).standard_normal((3,) + dims).astype(np.float32)
+    u[:, ::3] = 0
+    u[1, :, ::2] = -0.0
+    for block in (1, 37, 2 ** 40):
+        monkeypatch.setattr(ad, "_BLOCK", block)
+        assert bits(fa.jacobian_det(u).data) == bits(jacobian_det_oracle(u))
+
+
+def test_ndv_holds_one_result_sized_array(monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK", 32 * 32)  # slabs of one plane
+    u = RNG.standard_normal((3, 32, 32, 32)).astype(np.float32)
+    fa.ndv(u)
+    tracemalloc.start()
+    try:
+        fa.ndv(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 determinant (a third of u's bytes), its mask and one slab's Jacobian
+    assert peak < 3 * u.nbytes
+
+
+def test_warp_labels_array_is_the_clamped_three_index_gather():
+    dims = (9, 1, 7)
+    labels = np.random.default_rng(33).integers(0, 50, dims).astype(np.int32)
+    u = np.random.default_rng(34).uniform(-4.0, 4.0, (3,) + dims).astype(np.float32)
+    u[:, ::3] = np.round(u[:, ::3]) + 0.5  # halfway: rint rounds to even
+    idx = np.rint(np.indices(dims).astype(np.float32) + u).astype(np.int64)
+    expect = labels[tuple(np.clip(i, 0, s - 1) for i, s in zip(idx, dims))]
+    assert bits(fa.warp_labels_array(labels, u)) == bits(expect)
 
 
 def test_warp_labels_array_shift_and_round():

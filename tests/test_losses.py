@@ -1,5 +1,7 @@
 """LNCC, modality gate, diffusion regularizer, and the multi-stage loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,19 @@ def test_lncc_across_ragged_blocks_is_bit_identical(monkeypatch, dtype, dims):
         ad.scale(s, 0.7).backward()
         runs.append(bits(s.data, c, at.grad, bt.grad))
     assert runs[0] == runs[1]
+
+
+def test_diffusion_node_keeps_no_differences():
+    ut = ad.DiffTensor(RNG.standard_normal((1, 3, 24, 24, 24)).astype(np.float32),
+                       requires_grad=True)
+    losses.diffusion_reg(ut)
+    tracemalloc.start()
+    try:
+        reg = losses.diffusion_reg(ut)  # alive while measured
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reg.op == "diffusion" and held < ut.data.nbytes
 
 
 def test_diffusion_is_one_graph_op():

@@ -95,7 +95,7 @@ def test_non_finite_payload_rejected(tmp_path):
 
 @pytest.mark.parametrize("manifest", [
     5, [], {"dims": 5}, {"dims": [4, 4]}, {"dims": [4, 4, "4"]}, {"spacing": None},
-    {"spacing": [1.0, True, 1.0]},
+    {"spacing": [1.0, True, 1.0]}, {"spacing": [1, 10 ** 400, 1]},
 ])
 def test_malformed_manifest_rejected(tmp_path, manifest):
     path = tmp_path / "v.vol"

@@ -33,7 +33,15 @@ match. The cases:
   by a random field that leaves the grid and puts every third voxel's
   sample on whole voxels. It prints `values=`, `dv=` and `du=` apart;
 - `points/<dims>`: sample_field_at_points at interior, last-plane and
-  out-of-bounds points.
+  out-of-bounds points;
+- `jacobian/<dims>`, `diffusion/<dims>` and `warp_labels/<dims>`: on a
+  grid of several 12-plane slabs that ends in a one-plane slab, and on one
+  whose planes exceed a block, so each slab is one plane: jacobian_det and
+  the NDV of a field with zeros and -0.0 that folds in places; diffusion_reg
+  of a float32 graph leaf, as `value=` (the node and the array path's
+  float) and `du=` (the gradient of 0.37 times it); and the label warp by a
+  field that leaves the grid and puts every third sample halfway between
+  voxels.
 """
 
 import os
@@ -63,6 +71,7 @@ CONFIGS = {
 STEP_DIMS = ((16, 16, 16), (13, 17, 11), (24, 24, 24))
 CONV_DIMS = (24, 32, 48)
 SAMPLE_DIMS = ((5, 1, 7), (37, 1000, 1))
+SLAB_DIMS = ((37, 40, 64), (5, 200, 190))
 
 
 def digest(*arrays):
@@ -170,6 +179,35 @@ def points_case(dims):
     return digest(fa.sample_field_at_points(u, np.concatenate([inner, last, outside])))
 
 
+def slab_field(dims, seed):
+    u = np.random.default_rng(seed).uniform(-3.0, 3.0, (3,) + dims).astype(np.float32)
+    u[:, ::4] = 0
+    u[1, :, ::3] = -0.0
+    return u
+
+
+def jacobian_case(dims):
+    u = slab_field(dims, 23)
+    return f"{digest(fa.jacobian_det(u).data)} ndv={fa.ndv(u)!r}"
+
+
+def diffusion_case(dims):
+    u = slab_field(dims, 29)
+    ut = ad.DiffTensor(u[None], requires_grad=True)
+    reg = losses.diffusion_reg(ut)
+    ad.scale(reg, 0.37).backward()
+    return (f"value={digest(reg.data, np.asarray(losses.diffusion_reg(u)))} "
+            f"du={digest(ut.grad)}")
+
+
+def warp_labels_case(dims):
+    rng = np.random.default_rng(31)
+    labels = rng.integers(0, 100, dims).astype(np.int32)
+    u = slab_field(dims, 37)
+    u[:, ::3] = np.round(u[:, ::3]) + 0.5
+    return digest(fa.warp_labels_array(labels, u))
+
+
 def main():
     print(f"OPENBLAS_NUM_THREADS={THREADS}")
     for name, cfg in CONFIGS.items():
@@ -184,6 +222,11 @@ def main():
         for C in (1, 3):
             print(f"warp/{C}/{'x'.join(map(str, dims))} {warp_case(C, dims)}")
         print(f"points/{'x'.join(map(str, dims))} {points_case(dims)}")
+    for dims in SLAB_DIMS:
+        name = "x".join(map(str, dims))
+        print(f"jacobian/{name} {jacobian_case(dims)}")
+        print(f"diffusion/{name} {diffusion_case(dims)}")
+        print(f"warp_labels/{name} {warp_labels_case(dims)}")
 
 
 if __name__ == "__main__":
